@@ -29,8 +29,8 @@ replays of the kernel control flow except where noted:
 * ``Polak`` — closed form: the two-pointer merge of rows ``A``/``B``
   performs ``|{a <= c}| + |{b <= c}| - |A ∩ B|`` iterations, where
   ``c = min(max A, max B)``.
-* ``Green`` — exact lockstep simulation of all 32 lanes per edge: the
-  merge-path diagonal search plus the budget-bounded slice merges.
+* ``Green`` — exact replay of all 32 lanes per edge: the merge-path
+  diagonal search plus the budget-bounded slice merges.
 * ``TriCore`` / ``Fox`` — exact early-exit binary search of every query
   (shorter list) into its table (longer list); the two differ only in the
   tie rule when ``d(u) == d(v)``.
@@ -52,25 +52,54 @@ replays of the kernel control flow except where noted:
 Hash and bitmap algorithms are not comparison-based, so their work ratio
 can legitimately drop below 1 — the lower bound is a yardstick, not a
 floor, for those rows.
+
+Rank derivation
+---------------
+No model simulates a search loop.  Every count follows from one rank
+lookup per probed key: where the key sits in (or would be inserted into)
+its table row, and whether it is there (:func:`_probe_rows`, a single
+``searchsorted`` over the globally sorted ``row * n + value`` encoding).
+An early-exit binary search over a table of length ``L`` is a fixed
+implicit tree, so its probe count is a function of ``(L, rank, hit)``
+alone (:func:`_depth_row`).  Green's merge-path crossings follow from each
+element's position in the merged row pair, its slice merges from where
+the equal pairs fall; the hash models read bucket ranks and bucket fills
+precomputed once per CSR entry.  Probes are expanded in chunks of
+:data:`_CHUNK`, which bounds the working set on the largest replicas.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph import io
 from ..graph.csr import CSRGraph
+from ..obs.metrics import get_metrics
 
 __all__ = [
     "WorkEfficiency",
     "WORK_MODELS",
+    "WORK_SCHEMA",
     "comparisons_performed",
     "lower_bound_comparisons",
     "work_efficiency",
 ]
 
+#: Bump whenever a model's count for some graph changes: stored counts
+#: (:func:`work_efficiency`) carry it in their key.
+WORK_SCHEMA = 1
+
 _I64 = np.int64
+
+#: probes expanded per vectorised step; bounds the models' peak memory
+_CHUNK = 1 << 20
+
+#: lanes per warp in Green's merge-path kernel
+_LANES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -85,50 +114,106 @@ def _encoded_rows(csr: CSRGraph) -> np.ndarray:
     return csr.edge_sources() * n + csr.col
 
 
-def _rank_leq(csr: CSRGraph, encoded: np.ndarray, rows, caps) -> np.ndarray:
-    """``|{x in N(rows[k]) : x <= caps[k]}|`` for parallel arrays."""
+def _row_rank(csr: CSRGraph, encoded: np.ndarray, rows, keys, side="right") -> np.ndarray:
+    """``|{x in N(rows[k]) : x <= keys[k]}|`` for parallel arrays (``x <
+    keys[k]`` with ``side="left"``)."""
     rows = np.asarray(rows, dtype=_I64)
-    caps = np.asarray(caps, dtype=_I64)
-    needles = rows * _I64(csr.n) + caps
-    return np.searchsorted(encoded, needles, side="right") - csr.row_ptr[rows]
+    keys = np.asarray(keys, dtype=_I64)
+    needles = rows * _I64(csr.n) + keys
+    return np.searchsorted(encoded, needles, side=side) - csr.row_ptr[rows]
 
 
 def _expand_segments(starts, counts):
     """(segment index, absolute position) for the concatenation of segments."""
     counts = np.asarray(counts, dtype=_I64)
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(counts.shape[0], dtype=_I64), counts)
     ends = np.cumsum(counts)
-    offset = np.arange(total, dtype=_I64) - np.repeat(ends - counts, counts)
-    return seg, np.asarray(starts, dtype=_I64)[seg] + offset
+    seg = np.repeat(np.arange(counts.shape[0], dtype=_I64), counts)
+    pos = np.arange(int(ends[-1]) if ends.size else 0, dtype=_I64)
+    pos += np.repeat(np.asarray(starts, dtype=_I64) - (ends - counts), counts)
+    return seg, pos
 
 
-def _bisect_probes(col, t_start, t_len, keys) -> int:
+def _chunks(counts: np.ndarray):
+    """Consecutive ``(lo, hi)`` segment ranges of about :data:`_CHUNK` items."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, total, _CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [counts.shape[0]])))
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
+def _probe_rows(csr: CSRGraph, q_start, q_len, t_row):
+    """Rank every query key in its table row, chunk by chunk.
+
+    Segment ``k`` holds the keys ``col[q_start[k] : q_start[k] + q_len[k]]``,
+    looked up in row ``t_row[k]``.  Yields ``(seg, q_pos, pos, hit)`` per
+    chunk: each probe's segment, the CSR entry of its key, the CSR entry
+    where the key sits in (or would be inserted into) the table row, and
+    whether it sits there.
+    """
+    q_start = np.asarray(q_start, dtype=_I64)
+    q_len = np.asarray(q_len, dtype=_I64)
+    t_row = np.asarray(t_row, dtype=_I64)
+    n = _I64(csr.n)
+    # The sentinel past the last entry keeps ``encoded[pos]`` in bounds.
+    encoded = np.append(_encoded_rows(csr), n * n)
+    for lo, hi in _chunks(q_len):
+        seg, q_pos = _expand_segments(q_start[lo:hi], q_len[lo:hi])
+        needles = t_row[lo:hi][seg] * n + csr.col[q_pos]
+        pos = np.searchsorted(encoded, needles)
+        yield seg + lo, q_pos, pos, encoded[pos] == needles
+
+
+@functools.lru_cache(maxsize=4096)
+def _depth_row(length: int) -> np.ndarray:
+    """Probes of the early-exit binary search over a sorted table of
+    ``length`` elements, indexed by outcome ``2 * rank + hit``.
+
+    ``rank`` is the number of table elements below the key and ``hit``
+    whether the key is present: outcome ``2r + 1`` stops on element ``r``,
+    outcome ``2r`` runs out in the gap before element ``r``.  The search
+    probes ``mid = length // 2`` first, then recurses into one half, so the
+    row is the left half's row, the root, then the right half's row, each
+    one probe deeper.  A search without the early exit (``lo = mid + 1``
+    on ``<=``) runs the same path as a miss, so it reads outcome ``2g``.
+    """
+    if length == 0:
+        return np.zeros(1, dtype=np.int8)
+    half = length >> 1
+    row = np.concatenate(
+        (_depth_row(half), np.zeros(1, dtype=np.int8), _depth_row(length - half - 1))
+    )
+    row += 1
+    row.flags.writeable = False
+    return row
+
+
+def _depth_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated :func:`_depth_row` rows for the distinct ``lengths``,
+    and the offset of each ``lengths[k]``'s row in it."""
+    present = np.flatnonzero(np.bincount(lengths))
+    rows = [_depth_row(int(length)) for length in present]
+    start = np.zeros(int(present[-1]) + 1, dtype=_I64)
+    start[present] = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
+    return np.concatenate(rows), start[lengths]
+
+
+def _bisect_probes(csr: CSRGraph, q_start, q_len, t_row, t_start, t_len) -> int:
     """Total probes of the kernels' early-exit binary search, exactly.
 
-    Per query: ``while lo < hi`` over ``col[t_start : t_start + t_len]``,
-    one probe per iteration, breaking on equality.  Vectorised as a masked
-    lockstep loop — every active query advances one level per round.
+    Segment ``k`` searches each key of ``col[q_start[k] : +q_len[k]]`` in
+    the table ``col[t_start[k] : +t_len[k]]``, a suffix of row
+    ``t_row[k]`` (``while lo < hi``, one probe per iteration, breaking on
+    equality).  Each probe count is read off the key's rank.
     """
     t_start = np.asarray(t_start, dtype=_I64)
-    t_len = np.asarray(t_len, dtype=_I64)
-    keys = np.asarray(keys, dtype=_I64)
-    lo = np.zeros(keys.shape[0], dtype=_I64)
-    hi = t_len.copy()
-    act = np.flatnonzero(hi > lo)
+    table, offset = _depth_table(np.asarray(t_len, dtype=_I64))
     total = 0
-    while act.size:
-        mid = (lo[act] + hi[act]) >> 1
-        val = col[t_start[act] + mid]
-        total += int(act.size)
-        k = keys[act]
-        eq = val == k
-        lt = val < k
-        new_lo = np.where(lt, mid + 1, lo[act])
-        new_hi = np.where(lt, hi[act], mid)
-        lo[act] = new_lo
-        hi[act] = new_hi
-        act = act[~eq & (new_lo < new_hi)]
+    for seg, _, pos, hit in _probe_rows(csr, q_start, q_len, t_row):
+        # A key below the suffix (earlier in the row) clamps to rank 0: a
+        # miss before element 0 takes the same probes as a hit on it.
+        rank = np.maximum(pos - t_start[seg], 0)
+        total += int(table[offset[seg] + 2 * rank + hit].sum())
     return total
 
 
@@ -137,6 +222,13 @@ def _edge_rows(csr: CSRGraph):
     ev = csr.col
     deg = csr.degrees
     return eu, ev, deg[eu].astype(_I64), deg[ev].astype(_I64)
+
+
+def _live_edges(csr: CSRGraph):
+    """``_edge_rows`` restricted to edges whose two rows are non-empty."""
+    eu, ev, du, dv = _edge_rows(csr)
+    live = (du > 0) & (dv > 0)
+    return eu[live], ev[live], du[live], dv[live]
 
 
 # ---------------------------------------------------------------------------
@@ -156,83 +248,110 @@ def lower_bound_comparisons(csr: CSRGraph) -> int:
 
 
 def _polak_comparisons(csr: CSRGraph) -> int:
-    from ..intersect.binsearch import batch_edge_intersection_counts
-
-    if csr.m == 0:
-        return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
+    eu, ev, du, dv = _live_edges(csr)
+    if not eu.size:
         return 0
     # Row maxima (the merge stops once the pointer whose row maximum is
     # smaller runs off the end).
     last = np.full(csr.n, -1, dtype=_I64)
     nz = csr.degrees > 0
     last[nz] = csr.col[csr.row_ptr[1:][nz] - 1]
-    stop = np.minimum(last[eu[live]], last[ev[live]])
+    stop = np.minimum(last[eu], last[ev])
     encoded = _encoded_rows(csr)
-    cu = _rank_leq(csr, encoded, eu[live], stop)
-    cv = _rank_leq(csr, encoded, ev[live], stop)
-    matches = batch_edge_intersection_counts(csr)[live]
-    return int((cu + cv - matches).sum())
+    steps = int(_row_rank(csr, encoded, eu, stop).sum() + _row_rank(csr, encoded, ev, stop).sum())
+    # Every common element is one step that advances both pointers.
+    short_u = du <= dv
+    probes = _probe_rows(
+        csr,
+        csr.row_ptr[np.where(short_u, eu, ev)],
+        np.minimum(du, dv),
+        np.where(short_u, ev, eu),
+    )
+    return steps - sum(int(np.count_nonzero(hit)) for *_, hit in probes)
 
 
 def _green_comparisons(csr: CSRGraph) -> int:
-    """Exact lane-lockstep replay of the Merge Path kernel, all 32 lanes."""
-    if csr.m == 0:
+    """Exact replay of the Merge Path kernel, all 32 lanes, from ranks.
+
+    Per edge, ``a = N(u)`` and ``b = N(v)`` merge into ``M`` (ties put the
+    ``a`` element first); lane ``l`` owns the diagonals
+    ``[T*l/32, T*(l+1)/32)`` of ``T = |a| + |b|``.
+
+    * Diagonal search: the lane bisects for its crossing ``i*`` = the
+      number of ``a`` elements among the first ``d`` of ``M``, without an
+      early exit, over a range of ``hi - lo`` candidates.
+    * Slice merge: one step per merge group (a lone element, or an equal
+      pair taken together), from the lane's first diagonal while its
+      budget lasts and neither row is exhausted.  Over all lanes this
+      visits every position before ``P`` (where the first row runs out)
+      once, minus the second halves of equal pairs, plus the pairs that a
+      lane boundary splits (the next lane takes the ``b`` half alone).
+    """
+    eu, ev, la, lb = _live_edges(csr)
+    if not eu.size:
         return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    us = csr.row_ptr[eu[live]].astype(_I64)
-    vs = csr.row_ptr[ev[live]].astype(_I64)
-    la = du[live]
-    lb = dv[live]
     total_len = la + lb
-    lanes = np.arange(32, dtype=_I64)
-    # Per (edge, lane) diagonals, shape (edges, 32) flattened.
-    diag_lo = (total_len[:, None] * lanes[None, :]) // 32
-    diag_hi = (total_len[:, None] * (lanes[None, :] + 1)) // 32
-    us_l = np.broadcast_to(us[:, None], diag_lo.shape).ravel()
-    vs_l = np.broadcast_to(vs[:, None], diag_lo.shape).ravel()
-    la_l = np.broadcast_to(la[:, None], diag_lo.shape).ravel()
-    lb_l = np.broadcast_to(lb[:, None], diag_lo.shape).ravel()
-    diag_lo = diag_lo.ravel()
-    budget = (diag_hi.ravel() - diag_lo).astype(_I64)
-    col = csr.col
-    total = 0
-    # --- diagonal search: find each lane's merge-path crossing point.
-    lo = np.maximum(0, diag_lo - lb_l)
-    hi = np.minimum(diag_lo, la_l)
-    act = np.flatnonzero(lo < hi)
-    while act.size:
-        mid = (lo[act] + hi[act]) >> 1
-        av = col[us_l[act] + mid]
-        bv = col[vs_l[act] + diag_lo[act] - 1 - mid]
-        total += int(act.size)
-        le = av <= bv
-        new_lo = np.where(le, mid + 1, lo[act])
-        new_hi = np.where(le, hi[act], mid)
-        lo[act] = new_lo
-        hi[act] = new_hi
-        act = act[new_lo < new_hi]
-    # --- slice merge: each lane merges its budgeted span.
-    i = lo
-    j = diag_lo - lo
-    act = np.flatnonzero((budget > 0) & (i < la_l) & (j < lb_l))
-    while act.size:
-        av = col[us_l[act] + i[act]]
-        bv = col[vs_l[act] + j[act]]
-        total += int(act.size)
-        lt = av < bv
-        gt = bv < av
-        eq = ~lt & ~gt
-        i[act] += lt | eq
-        j[act] += gt | eq
-        budget[act] -= 1 + eq
-        act = act[(budget[act] > 0) & (i[act] < la_l[act]) & (j[act] < lb_l[act])]
+    # Each merged position is found from the shorter row's elements: its
+    # index in its own row plus the other row's elements before it.
+    from_a = la <= lb
+    q_row = np.where(from_a, eu, ev)
+    t_row = np.where(from_a, ev, eu)
+    q_start = csr.row_ptr[q_row]
+    base = -(q_start + csr.row_ptr[t_row])
+    # P: the merged position at which the first row is exhausted.
+    encoded = _encoded_rows(csr)
+    a_last = csr.col[csr.row_ptr[eu] + la - 1]
+    b_last = csr.col[csr.row_ptr[ev] + lb - 1]
+    run_out = np.minimum(
+        la + _row_rank(csr, encoded, ev, a_last, side="left"),
+        lb + _row_rank(csr, encoded, eu, b_last),
+    )
+    total = int(run_out.sum())
+    # A chunk holds whole segments, so its edges' lanes are complete.
+    for seg, q_pos, pos, hit in _probe_rows(csr, q_start, np.minimum(la, lb), t_row):
+        seg_a = from_a[seg]
+        # An equal ``a`` element comes first, so a ``b`` key counts its hit.
+        merged = q_pos + pos + base[seg] + (hit & ~seg_a)
+        seg_len = total_len[seg]
+        lo, hi = int(seg[0]), int(seg[-1]) + 1
+        lanes = np.bincount(
+            (seg - lo) * _LANES + _lane_of(merged, seg_len),
+            minlength=(hi - lo) * _LANES,
+        )
+        total += _diagonal_probes(lanes.reshape(hi - lo, _LANES), la[lo:hi], lb[lo:hi], from_a[lo:hi])
+        # Equal pairs: where their ``b`` half falls decides the merge steps.
+        second = merged[hit] + seg_a[hit]
+        seg_len = seg_len[hit]
+        split = (seg_len * _lane_of(second, seg_len)) // _LANES == second
+        counted = second < run_out[seg[hit]]
+        total += int(np.count_nonzero(counted & split)) - int(np.count_nonzero(counted))
     return total
+
+
+def _lane_of(position, total_len):
+    """The lane whose span ``[T*l/32, T*(l+1)/32)`` holds ``position``."""
+    return (_LANES * position + _LANES - 1) // total_len
+
+
+def _diagonal_probes(lane_counts, la, lb, from_a) -> int:
+    """Green's diagonal-search probes over edges and their 32 lanes.
+
+    ``lane_counts[e, l]`` is how many of edge ``e``'s shorter-row elements
+    fall in lane ``l``'s span of ``M``; ``from_a[e]`` says whether that row
+    is ``a``.  Lane ``l`` bisects ``[lo, hi)`` for its crossing and ends in
+    gap ``crossing - lo``.
+    """
+    # (edges, 32) arrays: the narrowest exact dtype halves their cost.
+    dtype = np.int32 if _LANES * int((la + lb).max()) < 2**31 else _I64
+    before = np.cumsum(lane_counts, axis=1, dtype=dtype)
+    before -= lane_counts.astype(dtype)
+    la, lb = la.astype(dtype)[:, None], lb.astype(dtype)[:, None]
+    diag = ((la + lb) * np.arange(_LANES, dtype=dtype)) // _LANES
+    gap = np.where(from_a[:, None], before, diag - before)
+    lo = np.maximum(diag - lb, 0)
+    gap -= lo
+    table, offset = _depth_table((np.minimum(diag, la) - lo).ravel())
+    return int(table[offset + 2 * gap.ravel()].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +365,19 @@ def _edge_bisect_comparisons(csr: CSRGraph, queries_from_u) -> int:
     ``d(u) == d(v)`` (TriCore keeps the u side as the table, Fox as the
     queries).
     """
-    if csr.m == 0:
+    eu, ev, du, dv = _live_edges(csr)
+    if not eu.size:
         return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    eu, ev, du, dv = eu[live], ev[live], du[live], dv[live]
     u_queries = (du <= dv) if queries_from_u else (du < dv)
     q_rows = np.where(u_queries, eu, ev)
     t_rows = np.where(u_queries, ev, eu)
-    q_starts = csr.row_ptr[q_rows].astype(_I64)
-    q_counts = csr.degrees[q_rows].astype(_I64)
-    seg, q_pos = _expand_segments(q_starts, q_counts)
     return _bisect_probes(
-        csr.col,
-        csr.row_ptr[t_rows[seg]],
-        csr.degrees[t_rows[seg]],
-        csr.col[q_pos],
+        csr,
+        csr.row_ptr[q_rows],
+        csr.degrees[q_rows],
+        t_rows,
+        csr.row_ptr[t_rows],
+        csr.degrees[t_rows],
     )
 
 
@@ -289,84 +403,87 @@ def _grouptc_comparisons(csr: CSRGraph) -> int:
     live = (u_len > 0) & (v_len > 0)
     if not live.any():
         return 0
+    eu, ev = eu[live], ev[live]
     u_start, u_len = u_start[live], u_len[live]
     v_start, v_len = v_start[live], v_len[live]
     flip = v_len * FLIP_RATIO < u_len
-    q_start = np.where(flip, u_start, v_start)
-    q_len = np.where(flip, u_len, v_len)
-    t_start = np.where(flip, v_start, u_start)
-    t_len = np.where(flip, v_len, u_len)
-    seg, q_pos = _expand_segments(q_start, q_len)
-    return _bisect_probes(csr.col, t_start[seg], t_len[seg], csr.col[q_pos])
+    return _bisect_probes(
+        csr,
+        np.where(flip, u_start, v_start),
+        np.where(flip, u_len, v_len),
+        np.where(flip, ev, eu),
+        np.where(flip, v_start, u_start),
+        np.where(flip, v_len, u_len),
+    )
 
 
 def _hu_comparisons(csr: CSRGraph) -> int:
     if csr.m == 0:
         return 0
-    eu, ev, du, _ = _edge_rows(csr)
+    eu, ev, du, dv = _edge_rows(csr)
     # Every 2-hop neighbour w of every wedge (u, v) is searched in N(u).
-    seg, q_pos = _expand_segments(
-        csr.row_ptr[ev].astype(_I64), csr.degrees[ev].astype(_I64)
-    )
-    return _bisect_probes(
-        csr.col, csr.row_ptr[eu[seg]], du[seg], csr.col[q_pos]
-    )
+    return _bisect_probes(csr, csr.row_ptr[ev], dv, eu, csr.row_ptr[eu], du)
 
 
 # ---------------------------------------------------------------------------
 # hash models
 
 
-def _hash_probe_total(csr, table_rows, keys, num_buckets) -> int:
-    """Exact slot inspections for probing ``keys[k]`` in the bucketed hash
-    of row ``table_rows[k]``.
+def _hash_probe_total(csr, table_rows, query_rows, num_buckets) -> int:
+    """Exact slot inspections for probing every key of row
+    ``query_rows[k]`` in the bucketed hash of row ``table_rows[k]``.
 
     The strided build inserts each (sorted) row in ascending order, so a
     bucket holds its elements in ascending order.  A hit therefore
     inspects every smaller same-bucket element plus the match; a miss
-    inspects the full bucket.
+    inspects the full bucket.  Both are precomputed per CSR entry: its
+    rank within its bucket, and its bucket's fill.
     """
     table_rows = np.asarray(table_rows, dtype=_I64)
-    keys = np.asarray(keys, dtype=_I64)
-    if keys.shape[0] == 0:
+    query_rows = np.asarray(query_rows, dtype=_I64)
+    if table_rows.shape[0] == 0:
         return 0
-    n = _I64(max(csr.n, 1))
-    bcount = _I64(num_buckets)
-    if int(n) * int(n) * int(bcount) > np.iinfo(_I64).max:  # pragma: no cover
-        raise OverflowError("graph too large for encoded hash-probe queries")
-    # One globally sorted key per CSR entry: (row, bucket, value).
-    entry_key = (csr.edge_sources() * bcount + csr.col % bcount) * n + csr.col
-    entry_key = np.sort(entry_key)
-    q_bucket = table_rows * bcount + keys % bcount
-    b_start = np.searchsorted(entry_key, q_bucket * n)
-    b_end = np.searchsorted(entry_key, (q_bucket + 1) * n)
-    target = q_bucket * n + keys
-    pos = np.searchsorted(entry_key, target)
-    hit = np.zeros(keys.shape[0], dtype=bool)
-    inside = pos < entry_key.shape[0]
-    hit[inside] = entry_key[pos[inside]] == target[inside]
-    smaller = pos - b_start
-    fill = b_end - b_start
-    return int(np.where(hit, smaller + 1, fill).sum())
+    buckets = _I64(num_buckets)
+    esrc = csr.edge_sources()
+    bucket = csr.col % buckets
+    # Rank of each CSR entry within its (row, bucket): a stable sort by
+    # (row, bucket) keeps each row's ascending order inside a bucket.
+    order = np.argsort(esrc * buckets + bucket, kind="stable")
+    ordered = (esrc * buckets + bucket)[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    bucket_rank = np.empty(csr.m, dtype=_I64)
+    bucket_rank[order] = np.arange(csr.m) - np.maximum.accumulate(
+        np.where(first, np.arange(csr.m), 0)
+    )
+    # Bucket fills of the hashed rows, one dense slot per distinct row.
+    hashed, slot = np.unique(table_rows, return_inverse=True)
+    row_slot = np.full(csr.n, -1, dtype=_I64)
+    row_slot[hashed] = np.arange(hashed.shape[0])
+    entry_slot = row_slot[esrc]
+    hashed_entry = entry_slot >= 0
+    fill = np.bincount(
+        entry_slot[hashed_entry] * buckets + bucket[hashed_entry],
+        minlength=hashed.shape[0] * int(buckets),
+    )
+    total = 0
+    for seg, q_pos, pos, hit in _probe_rows(
+        csr, csr.row_ptr[query_rows], csr.degrees[query_rows], table_rows
+    ):
+        misses = slot[seg[~hit]] * buckets + bucket[q_pos[~hit]]
+        total += int(fill[misses].sum()) + int(bucket_rank[pos[hit]].sum()) + int(np.count_nonzero(hit))
+    return total
 
 
 def _hindex_comparisons(csr: CSRGraph) -> int:
     from ..algorithms.hindex import NUM_BUCKETS
 
-    if csr.m == 0:
+    eu, ev, du, dv = _live_edges(csr)
+    if not eu.size:
         return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    eu, ev, du, dv = eu[live], ev[live], du[live], dv[live]
     hash_u = du <= dv  # shorter list is hashed, longer list queries
-    h_rows = np.where(hash_u, eu, ev)
-    q_rows = np.where(hash_u, ev, eu)
-    seg, q_pos = _expand_segments(
-        csr.row_ptr[q_rows].astype(_I64), csr.degrees[q_rows].astype(_I64)
+    return _hash_probe_total(
+        csr, np.where(hash_u, eu, ev), np.where(hash_u, ev, eu), NUM_BUCKETS
     )
-    return _hash_probe_total(csr, h_rows[seg], csr.col[q_pos], NUM_BUCKETS)
 
 
 def _trust_comparisons(csr: CSRGraph) -> int:
@@ -374,22 +491,16 @@ def _trust_comparisons(csr: CSRGraph) -> int:
 
     if csr.m == 0:
         return 0
-    eu, ev, _, _ = _edge_rows(csr)
-    deg = csr.degrees
+    eu, ev, du, _ = _edge_rows(csr)
     total = 0
+    # N(u) is hashed once per tier vertex; every 2-hop neighbour
+    # x in N(w), w in N(u) probes it.
     for tier, buckets in (
-        ((deg[eu] >= MIN_DEGREE) & (deg[eu] <= BLOCK_DEGREE), 32),
-        (deg[eu] > BLOCK_DEGREE, 1024),
+        ((du >= MIN_DEGREE) & (du <= BLOCK_DEGREE), 32),
+        (du > BLOCK_DEGREE, 1024),
     ):
-        if not tier.any():
-            continue
-        tu, tv = eu[tier], ev[tier]
-        # N(u) is hashed once per tier vertex; every 2-hop neighbour
-        # x in N(w), w in N(u) probes it.
-        seg, q_pos = _expand_segments(
-            csr.row_ptr[tv].astype(_I64), deg[tv].astype(_I64)
-        )
-        total += _hash_probe_total(csr, tu[seg], csr.col[q_pos], buckets)
+        if tier.any():
+            total += _hash_probe_total(csr, eu[tier], ev[tier], buckets)
     return total
 
 
@@ -424,16 +535,19 @@ WORK_MODELS = {
 }
 
 
-def comparisons_performed(csr: CSRGraph, algorithm: str) -> int:
-    """Element comparisons ``algorithm`` performs on ``csr`` (exact model)."""
+def _model(algorithm: str):
     try:
-        model = WORK_MODELS[algorithm.lower()]
+        return WORK_MODELS[algorithm.lower()]
     except KeyError:
         raise KeyError(
             f"no work model for {algorithm!r}; known: "
             f"{sorted(set(WORK_MODELS) - {'h-index'})}"
         ) from None
-    return int(model(csr))
+
+
+def comparisons_performed(csr: CSRGraph, algorithm: str) -> int:
+    """Element comparisons ``algorithm`` performs on ``csr`` (exact model)."""
+    return int(_model(algorithm)(csr))
 
 
 @dataclass(frozen=True)
@@ -456,10 +570,29 @@ def work_efficiency(csr: CSRGraph, algorithm: str) -> WorkEfficiency:
     """Comparisons performed, lower bound, and their ratio for one cell.
 
     A pure function of the graph: identical under the event and vectorized
-    engines, under batched and per-launch replay, and across devices.
+    engines, under batched and per-launch replay, and across devices.  So
+    the two counts are computed once per graph and model and stored in the
+    replica cache (:mod:`repro.graph.io`), keyed by the graph's content
+    digest, the model and :data:`WORK_SCHEMA`.  A stored entry is
+    CRC-checked when read; a corrupt or malformed one is dropped and
+    recomputed.  Time spent computing, and store hits and misses, feed the
+    metrics registry (``work_model_s``, ``work_store_hits``,
+    ``work_store_misses``).
     """
-    return WorkEfficiency(
-        algorithm=algorithm,
-        comparisons=comparisons_performed(csr, algorithm),
-        lower_bound=lower_bound_comparisons(csr),
-    )
+    model = _model(algorithm)
+    name = model.__name__[1:].removesuffix("_comparisons")
+    key = f"work-{name}-{csr.content_digest()}-w{WORK_SCHEMA}"
+    registry = get_metrics()
+    stored = io.load_cached_arrays(key)
+    counts = None if stored is None else stored.get("counts")
+    if counts is not None and counts.shape == (2,):
+        registry.inc("work_store_hits")
+        return WorkEfficiency(algorithm, int(counts[0]), int(counts[1]))
+    if stored is not None:
+        io.drop_cached_arrays(key)
+    t0 = time.perf_counter()
+    we = WorkEfficiency(algorithm, int(model(csr)), lower_bound_comparisons(csr))
+    registry.inc("work_model_s", time.perf_counter() - t0)
+    registry.inc("work_store_misses")
+    io.store_cached_arrays(key, counts=np.array([we.comparisons, we.lower_bound], dtype=_I64))
+    return we

@@ -16,6 +16,7 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,22 @@ class CSRGraph:
             cached = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
             cached.flags.writeable = False
             object.__setattr__(self, "_edge_sources", cached)
+        return cached
+
+    def content_digest(self) -> str:
+        """Hex blake2b-128 digest of the topology (``row_ptr`` and ``col``).
+
+        Computed once per graph: the arrays are read-only, so the digest
+        can key results that are pure functions of the graph.
+        """
+        cached = self.__dict__.get("_content_digest")
+        if cached is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(np.int64(self.n).tobytes())
+            h.update(self.row_ptr.tobytes())
+            h.update(self.col.tobytes())
+            cached = h.hexdigest()
+            object.__setattr__(self, "_content_digest", cached)
         return cached
 
     # -- derived facts -----------------------------------------------------

@@ -3,8 +3,8 @@
 Takes a serve ``stats`` frame (or a bare metrics snapshot from a telemetry
 dir / flight-recorder dump) and renders the operator view: queue depth,
 shed level, admission outcomes, trace-store hit rate, latency percentiles,
-and engine stage times.  Pure formatting — no sockets, no clearing; the
-CLI owns terminal control.
+engine stage times, and work-model time.  Pure formatting — no sockets, no
+clearing; the CLI owns terminal control.
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ def render_stats(frame: Mapping[str, Any]) -> str:
         lines.append(
             "  engine stages: "
             + " ".join(f"{k}={_fmt_s(v)}" for k, v in stage.items())
+        )
+    work_hits = counters.get("work_store_hits", 0)
+    work_total = work_hits + counters.get("work_store_misses", 0)
+    if work_total:
+        lines.append(
+            f"  work model: {_fmt_s(counters.get('work_model_s', 0.0))} computing"
+            f" | store {int(work_hits)}/{int(work_total)} hits"
         )
     if counters.get("sim_launches"):
         lines.append(
