@@ -15,7 +15,6 @@ against every algorithm's own ``count``:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.csr import CSRGraph
 from ..graph.edgelist import as_edge_array, clean_edges
@@ -65,6 +64,10 @@ def per_vertex_triangles(csr: CSRGraph) -> np.ndarray:
 
 def count_triangles_matrix(edges) -> int:
     """``trace(A^3) / 6`` on the undirected adjacency matrix."""
+    # Imported here, not at module level: SciPy costs ~0.25 s of start-up
+    # and only this test oracle needs it.
+    import scipy.sparse as sp
+
     edges = clean_edges(as_edge_array(edges))
     if edges.shape[0] == 0:
         return 0

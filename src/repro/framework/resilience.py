@@ -713,6 +713,11 @@ def is_worker_death(record: RunRecord) -> bool:
 @functools.lru_cache(maxsize=1)
 def _mp_context():
     """Prefer ``fork`` (workers inherit warm replica caches) when available."""
+    # ``np.unique`` imports ``numpy.ma`` on its first call (~13 ms).  Import
+    # it once here, in the parent, so a per-attempt child inherits it
+    # instead of paying for it on every job.
+    import numpy.ma  # noqa: F401
+
     try:
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -34,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,6 +110,28 @@ BASE_COUNTER_FIELDS = (
     "atomic_transactions",
     "shared_load_transactions",
     "shared_store_transactions",
+)
+
+#: Every counter a launch replay produces (requests/transactions plus
+#: execution shape) — the fields of one per-geometry totals entry, both in
+#: the engine's replay memo and in the trace file header.
+REPLAY_FIELDS = (
+    "global_load_requests",
+    "global_load_transactions",
+    "global_store_requests",
+    "global_store_transactions",
+    "atomic_requests",
+    "atomic_transactions",
+    "dram_sectors",
+    "l1_hit_sectors",
+    "shared_load_requests",
+    "shared_load_transactions",
+    "shared_store_requests",
+    "shared_store_transactions",
+    "warp_steps",
+    "active_lane_steps",
+    "alu_cycles",
+    "sync_events",
 )
 
 
@@ -218,7 +241,6 @@ def dedupe_blocks(traces) -> tuple[list[BlockTrace], np.ndarray]:
     return unique, instances
 
 
-@dataclass
 class LaunchTrace:
     """Everything replay needs for one launch, with blocks deduplicated.
 
@@ -231,20 +253,54 @@ class LaunchTrace:
     rows carry small ids into it (``loc`` stream), entry 0 is the "no
     location" sentinel.  It travels with the cached trace so source-line
     attribution replays on warm hits.
+
+    ``unique`` is either the block-trace list or a zero-argument callable
+    that decodes it on first access (with ``block_nbytes`` giving its size
+    up front): a trace mapped from the store splits its sections only when
+    something needs the block streams, so a launch served from stored
+    ``totals`` never decodes them.
     """
 
-    grid_dim: int
-    block_dim: int
-    warp_size: int
-    blocks: tuple[int, ...]
-    unique: list[BlockTrace] = field(repr=False)
-    instances: np.ndarray = field(repr=False)
-    writeback: tuple[tuple[int, int, int], ...] | None
-    locations: tuple[tuple[str, int], ...] = (("", 0),)
-    #: replay-totals memo keyed by device cache geometry; a warm re-replay
-    #: of a launch already reduced under the same (L1, L2) capacities is a
-    #: dict lookup (see repro.gpu.engine.replay_launch_batch).
-    _totals: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        grid_dim: int,
+        block_dim: int,
+        warp_size: int,
+        blocks: tuple[int, ...],
+        unique: list[BlockTrace] | Callable[[], list[BlockTrace]],
+        instances: np.ndarray,
+        writeback: tuple[tuple[int, int, int], ...] | None,
+        locations: tuple[tuple[str, int], ...] = (("", 0),),
+        *,
+        block_nbytes: int | None = None,
+        totals: dict | None = None,
+    ):
+        self.grid_dim = grid_dim
+        self.block_dim = block_dim
+        self.warp_size = warp_size
+        self.blocks = blocks
+        self.instances = instances
+        self.writeback = writeback
+        self.locations = locations
+        if callable(unique):
+            self._unique, self._decode = None, unique
+        else:
+            self._unique, self._decode = unique, None
+            block_nbytes = sum(t.nbytes for t in unique)
+        self._block_nbytes = block_nbytes
+        #: replay-totals memo keyed by device cache geometry ``(L1, L2)``
+        #: capacities in sectors; a re-replay under a known geometry is a
+        #: dict lookup (see repro.gpu.engine.replay_launch_batch).
+        self._totals: dict = dict(totals) if totals else {}
+        #: the geometries whose totals came from the trace file
+        self._stored_totals = frozenset(self._totals)
+
+    @property
+    def unique(self) -> list[BlockTrace]:
+        if self._unique is None:
+            self._unique = self._decode()
+            self._decode = None
+        return self._unique
 
     @property
     def cacheable(self) -> bool:
@@ -254,7 +310,7 @@ class LaunchTrace:
     def nbytes(self) -> int:
         wb = 0 if self.writeback is None else 24 * len(self.writeback)
         locs = sum(len(f) + 12 for f, _ in self.locations)
-        return sum(t.nbytes for t in self.unique) + self.instances.nbytes + wb + locs
+        return self._block_nbytes + self.instances.nbytes + wb + locs
 
 
 # --------------------------------------------------------------------------
@@ -423,36 +479,89 @@ def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
         out["stream_per_trace"] = np.array([m[1].size for m in memos], dtype=np.int64)
         out["stream"] = cat([m[1] for m in memos], np.int64)
         out["group_sectors"] = cat([m[2] for m in memos], np.int64)
+    # Replay totals per device geometry.  The trace is stored after its
+    # first replay, so these exist then; a warm process replaying on a
+    # stored geometry serves its counters without decoding a block.
+    if trace._totals:
+        out["totals"] = [
+            {"l1_cap": int(l1), "l2_cap": int(l2), **{f: int(c[f]) for f in REPLAY_FIELDS}}
+            for (l1, l2), c in sorted(trace._totals.items())
+        ]
+    return out
+
+
+def _parse_totals(entries) -> dict[tuple[int, int], dict[str, int]]:
+    """Parse the header's per-geometry replay totals; malformed raises."""
+    out = {}
+    for entry in entries:
+        caps = (entry["l1_cap"], entry["l2_cap"])
+        counters = {f: entry[f] for f in REPLAY_FIELDS}
+        if len(entry) != len(REPLAY_FIELDS) + 2 or not all(
+            type(v) is int for v in (*caps, *counters.values())
+        ):
+            raise ValueError("malformed stored totals")
+        out[caps] = counters
     return out
 
 
 def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
+    """Rebuild a trace from a stored bundle, or ``None`` if it is unusable.
+
+    Everything small (geometry, writeback, locations, stored totals) is
+    parsed here; the block traces are split out of the section arrays only
+    on first access of :attr:`LaunchTrace.unique`.  Section sizes are
+    checked now so that the deferred decode cannot fail.
+    """
     try:
         meta = arrays["meta"]
         if int(meta[0]) != TRACE_SCHEMA:
             return None
-        g_split = np.cumsum(arrays["groups_per_trace"])[:-1]
-        p_split = np.cumsum(arrays["payload_per_trace"])[:-1]
-        ops = np.split(arrays["ops"].astype(np.uint8, copy=False), g_split)
-        nlanes = np.split(arrays["nlanes"], g_split)
-        aux = np.split(arrays["aux"], g_split)
-        npay = np.split(arrays["npay"], g_split)
-        payload = np.split(arrays["payload"], p_split)
-        loc = np.split(arrays["loc"].astype(np.int32, copy=False), g_split)
-        unique = [
-            BlockTrace(o, n, a, c, p, x)
-            for o, n, a, c, p, x in zip(ops, nlanes, aux, npay, payload, loc)
-        ]
+        groups = arrays["groups_per_trace"]
+        n_unique, rows = len(groups), int(groups.sum())
+        row_sections = ("ops", "nlanes", "aux", "npay", "loc")
+        if (
+            any(arrays[name].size != rows for name in row_sections)
+            or len(arrays["payload_per_trace"]) != n_unique
+            or int(arrays["payload_per_trace"].sum()) != arrays["payload"].size
+        ):
+            return None
         base_counters = arrays.get("base_counters")
-        if base_counters is not None and len(unique):
-            rows = np.asarray(base_counters, dtype=np.int64).reshape(
-                len(unique), len(BASE_COUNTER_FIELDS)
-            )
-            s_split = np.cumsum(arrays["stream_per_trace"])[:-1]
-            streams = np.split(arrays["stream"], s_split)
-            gsec = np.split(arrays["group_sectors"], g_split)
-            for t, row, s, g in zip(unique, rows.tolist(), streams, gsec):
-                t._memo["base"] = (dict(zip(BASE_COUNTER_FIELDS, row)), s, g)
+        if base_counters is not None and (
+            base_counters.size != n_unique * len(BASE_COUNTER_FIELDS)
+            or len(arrays["stream_per_trace"]) != n_unique
+            or int(arrays["stream_per_trace"].sum()) != arrays["stream"].size
+            or arrays["group_sectors"].size != rows
+        ):
+            return None
+        instances = arrays["instances"].astype(np.int64, copy=False)
+        if instances.size and not 0 <= instances.min() <= instances.max() < n_unique:
+            return None
+        totals = _parse_totals(arrays.get("totals", ()))
+
+        def decode() -> list[BlockTrace]:
+            g_split = np.cumsum(groups)[:-1]
+            p_split = np.cumsum(arrays["payload_per_trace"])[:-1]
+            ops = np.split(arrays["ops"].astype(np.uint8, copy=False), g_split)
+            nlanes = np.split(arrays["nlanes"], g_split)
+            aux = np.split(arrays["aux"], g_split)
+            npay = np.split(arrays["npay"], g_split)
+            payload = np.split(arrays["payload"], p_split)
+            loc = np.split(arrays["loc"].astype(np.int32, copy=False), g_split)
+            unique = [
+                BlockTrace(o, n, a, c, p, x)
+                for o, n, a, c, p, x in zip(ops, nlanes, aux, npay, payload, loc)
+            ]
+            if base_counters is not None and n_unique:
+                counters = np.asarray(base_counters, dtype=np.int64).reshape(
+                    n_unique, len(BASE_COUNTER_FIELDS)
+                )
+                s_split = np.cumsum(arrays["stream_per_trace"])[:-1]
+                streams = np.split(arrays["stream"], s_split)
+                gsec = np.split(arrays["group_sectors"], g_split)
+                for t, row, st, g in zip(unique, counters.tolist(), streams, gsec):
+                    t._memo["base"] = (dict(zip(BASE_COUNTER_FIELDS, row)), st, g)
+            return unique
+
         writeback = tuple(
             (int(p), int(i), int(v)) for p, i, v in arrays["writeback"].tolist()
         )
@@ -464,12 +573,14 @@ def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
             block_dim=int(meta[2]),
             warp_size=int(meta[3]),
             blocks=tuple(int(b) for b in arrays["blocks"]),
-            unique=unique,
-            instances=arrays["instances"].astype(np.int64, copy=False),
+            unique=decode,
+            instances=instances,
             writeback=writeback,
             locations=locations,
+            block_nbytes=sum(arrays[name].nbytes for name in (*row_sections, "payload")),
+            totals=totals,
         )
-    except (KeyError, IndexError, ValueError):
+    except (KeyError, IndexError, TypeError, ValueError):
         return None
 
 

@@ -13,8 +13,10 @@ File layout (little-endian)::
 
     magic     8 B   b"RPRTRC01"
     hdr_len   8 B   u64, byte length of the JSON header
-    header    ...   JSON: schema, launch geometry, locations, writeback,
-                    section table {name: [relative offset, element count]}
+    header    ...   JSON: schema, launch geometry, locations, section
+                    table {name: [relative offset, element count]}, and
+                    (optional) the launch's replay totals per device
+                    cache geometry
     padding   ...   zeros up to a 64 B boundary (section alignment)
     sections  ...   raw C-order array bytes, each 64 B aligned
     digest   16 B   blake2b-128 over everything before it
@@ -105,21 +107,21 @@ class TraceStore:
             sections.append((name, offset, int(arr.size)))
             blobs.append((offset, blob))
             offset += len(blob)
-        header = json.dumps(
-            {
-                "schema": int(meta[0]),
-                "grid_dim": int(meta[1]),
-                "block_dim": int(meta[2]),
-                "warp_size": int(meta[3]),
-                "blocks": [int(b) for b in arrays["blocks"]],
-                "locations": [
-                    [str(f), int(n)]
-                    for f, n in zip(arrays["loc_files"], arrays["loc_lines"])
-                ],
-                "sections": {n: [o, c] for n, o, c in sections},
-            },
-            separators=(",", ":"),
-        ).encode()
+        fields = {
+            "schema": int(meta[0]),
+            "grid_dim": int(meta[1]),
+            "block_dim": int(meta[2]),
+            "warp_size": int(meta[3]),
+            "blocks": [int(b) for b in arrays["blocks"]],
+            "locations": [
+                [str(f), int(n)]
+                for f, n in zip(arrays["loc_files"], arrays["loc_lines"])
+            ],
+            "sections": {n: [o, c] for n, o, c in sections},
+        }
+        if "totals" in arrays:
+            fields["totals"] = arrays["totals"]
+        header = json.dumps(fields, separators=(",", ":")).encode()
         data_start = _align(len(MAGIC) + 8 + len(header))
         buf = bytearray(data_start + _align(offset))
         buf[: len(MAGIC)] = MAGIC
@@ -194,6 +196,8 @@ class TraceStore:
                 "loc_files": [f for f, _ in header["locations"]],
                 "loc_lines": [n_ for _, n_ in header["locations"]],
             }
+            if "totals" in header:
+                arrays["totals"] = header["totals"]
             table = header["sections"]
             for name, dtype in _SECTIONS:
                 entry = table.get(name)

@@ -117,6 +117,7 @@ def render_stats(frame: Mapping[str, Any]) -> str:
             f"  trace store: disk {int(hits)}/{int(total)} hits ({rate:.0f}%)"
             f" mapped={_fmt_bytes(counters.get('tracestore_bytes_mapped', 0))}"
             f" heals={int(counters.get('tracestore_heals', 0))}"
+            f" totals={int(counters.get('trace_totals_hits', 0))}"
             f" | memory {int(mem_hits)}/{int(mem_total)} ({mem_rate:.0f}%)"
         )
 

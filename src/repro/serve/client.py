@@ -101,6 +101,8 @@ class ServeClient:
             self._sock.connect(socket_path)
         else:
             self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+            # small request/reply frames: no Nagle wait for a delayed ACK
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(None)
         self._lock = threading.Lock()          # guards writes + registries
         self._tags = itertools.count(1)

@@ -368,6 +368,10 @@ class TriangleServer:
                 sock, addr = self._listener.accept()
             except OSError:
                 return  # listener closed: shutting down
+            if sock.family == socket.AF_INET:
+                # Frames are small and answer each other: without this,
+                # Nagle holds a reply until the peer's delayed ACK.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             peer = f"{addr}" if addr else "unix"
             conn = _Conn(sock, peer, self)
             with self._lock:

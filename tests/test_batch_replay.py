@@ -33,12 +33,17 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 def _fresh_copy(trace):
-    """Round-trip a trace without its replay memo: replays run from scratch."""
+    """Round-trip a trace without its replay memo: replays run from scratch.
+
+    The stored per-geometry totals are dropped too, or a replay on the
+    recording device would be served from them without reducing anything.
+    """
     arrays = _trace_to_arrays(trace)
-    for name in _MEMO_SECTIONS:
+    for name in _MEMO_SECTIONS + ("totals",):
         arrays.pop(name, None)
     restored = _trace_from_arrays(arrays)
     assert restored is not None
+    assert not restored._totals
     return restored
 
 

@@ -1,5 +1,8 @@
 """Reference counters agree with each other and with networkx."""
 
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.algorithms.cpu_reference import (
 )
 from repro.graph import clean_edges, orient_by_degree, orient_by_id
 from repro.graph.generators import chung_lu, complete_graph, wheel
+from repro.verify.fixtures import fixture_csr, fixture_edges, fixture_names
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 18), st.integers(0, 18)), min_size=0, max_size=60
@@ -79,3 +83,18 @@ class TestDecompositions:
         csr = orient_by_id([])
         assert count_triangles_oriented(csr) == 0
         assert per_vertex_triangles(csr).shape == (0,)
+
+
+class TestLazySciPy:
+    """SciPy is imported only by the matrix oracle, never at start-up."""
+
+    @pytest.mark.parametrize("module", ["repro", "repro.framework.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        code = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_matrix_oracle_matches_oriented_on_fixtures(self, name):
+        assert count_triangles_matrix(fixture_edges(name)) == count_triangles_oriented(
+            fixture_csr(name)
+        )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -152,6 +153,18 @@ class TestHappyPath:
         accepted, terminals = server.journal.load()
         assert len(accepted) == 2
         assert sorted(len(v) for v in terminals.values()) == [1, 1]
+
+
+class TestTransport:
+    def test_tcp_nodelay_on_both_ends(self, server_factory):
+        """Both ends of a TCP connection disable Nagle: small request and
+        reply frames must not wait for the peer's delayed ACK."""
+        server = server_factory()
+        with ServeClient(port=server.port) as client:
+            client.stats()  # one round trip: the server holds the connection
+            (conn,) = server._conns
+            for sock in (client._sock, conn.sock):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 class TestAdmission:
