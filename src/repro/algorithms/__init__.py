@@ -23,6 +23,7 @@ from .cpu_reference import (
 )
 from .fox import Fox
 from .green import Green
+from . import green_emit  # noqa: F401  (registers Green's array emitter)
 from .grouptc import GroupTC
 from .hindex import HIndex
 from .hu import Hu

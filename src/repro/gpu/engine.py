@@ -11,7 +11,12 @@ accounting.  This module splits that work in two:
   appends one row per issued warp instruction to a
   :class:`~repro.gpu.trace.BlockTrace`.  Functional effects still execute
   during record — loads observe memory, stores and atomics mutate it —
-  because they steer the generators' control flow.
+  because they steer the generators' control flow.  A kernel whose op
+  stream is a pure function of its inputs may register an *array emitter*
+  (:func:`register_emitter`) that writes the identical trace with
+  vectorised NumPy instead; :func:`record_launch` prefers it, and
+  generator recording (:func:`record_generators`) stays the reference the
+  emitter is checked against (:func:`emitter_mismatches`).
 
 * **replay** — :func:`replay_launch` reduces the trace arrays to nvprof
   counters with vectorised NumPy: per-op totals by ``bincount``, per-group
@@ -80,7 +85,11 @@ __all__ = [
     "ENGINE_ENV_VAR",
     "DEFAULT_ENGINE",
     "RecordingWarp",
+    "check_emitters",
+    "emitter_mismatches",
+    "record_generators",
     "record_launch",
+    "register_emitter",
     "replay_launch",
     "replay_launch_batch",
     "replay_line_profile",
@@ -219,23 +228,6 @@ class RecordingWarp(Warp):
         self.builder.emit(OP_WSYNC, len(lanes), loc=loc)
         for lane in lanes:
             self._advance(lane, None)
-
-    def _note_write(self, darr, idx) -> None:
-        key = id(darr)
-        entry = self.writes.get(key)
-        if entry is None:
-            self.writes[key] = (darr, {idx})
-        else:
-            entry[1].add(idx)
-
-    def _emit(self, opcode: int, nlanes: int, aux: int, pay, loc: int) -> None:
-        self._eops(opcode)
-        self._enlanes(nlanes)
-        self._eaux(aux)
-        self._enpay(len(pay))
-        self._eloc(loc)
-        if pay:
-            self._epay(pay)
 
     def _issue(self, op: str, tag, lanes) -> None:
         # Fully inlined per-branch loops: lane advancement (generator send
@@ -443,6 +435,25 @@ def apply_writeback(trace: LaunchTrace, args) -> None:
         args[pos].data[idx] = value
 
 
+#: kernel program -> array emitter: ``emitter(device, program, **launch)``
+#: returns the :class:`LaunchTrace` generator recording would, without
+#: running a generator (see :func:`register_emitter`).
+_EMITTERS: dict = {}
+
+#: open :func:`check_emitters` scopes (innermost last)
+_EMITTER_CHECKS: list[list] = []
+
+
+def register_emitter(program, emitter) -> None:
+    """Record ``program``'s launches with ``emitter`` from now on.
+
+    An emitter must produce a trace byte-identical to
+    :func:`record_generators` — block digests, instances, writeback,
+    locations — and apply the same effects to the launch arguments.
+    """
+    _EMITTERS[program] = emitter
+
+
 def record_launch(
     device,
     program,
@@ -453,8 +464,32 @@ def record_launch(
     shared_words: int,
     blocks: np.ndarray,
 ) -> LaunchTrace:
-    """Run the record phase over the selected blocks (same cooperative
-    barrier scheduling as the event path in :mod:`repro.gpu.kernel`)."""
+    """Run the record phase over the selected blocks: the program's array
+    emitter when it has one, else :func:`record_generators`."""
+    launch = dict(
+        grid_dim=grid_dim, block_dim=block_dim, args=args,
+        shared_words=shared_words, blocks=blocks,
+    )
+    emitter = _EMITTERS.get(program)
+    if emitter is None:
+        return record_generators(device, program, **launch)
+    get_metrics().inc("record_emitted_launches")
+    return emitter(device, program, **launch)
+
+
+def record_generators(
+    device,
+    program,
+    *,
+    grid_dim: int,
+    block_dim: int,
+    args: tuple,
+    shared_words: int,
+    blocks: np.ndarray,
+) -> LaunchTrace:
+    """Record by running every thread generator (same cooperative barrier
+    scheduling as the event path in :mod:`repro.gpu.kernel`).  This is the
+    reference every array emitter must match."""
     writes: dict = {}
     per_block: list[BlockTrace] = []
     warp_size = device.warp_size
@@ -490,6 +525,61 @@ def record_launch(
         writeback=_writeback_log(writes, args),
         locations=locs.as_tuple(),
     )
+
+
+def _copy_args(args) -> tuple:
+    return tuple(
+        DeviceArray(a.name, a.data.copy(), a.itemsize, a.base)
+        if isinstance(a, DeviceArray) else a
+        for a in args
+    )
+
+
+def emitter_mismatches(device, program, *, args: tuple, **launch) -> list[str]:
+    """Record one launch both ways on copies of ``args`` and name what differs.
+
+    Compares the sampled blocks, block-trace digests, instances, writeback
+    log and location table of the emitted trace against generator
+    recording, and the argument arrays after the launch (``args[i]``).
+    Empty means the emitter is exact for this launch.
+    """
+    ref_args, emit_args = _copy_args(args), _copy_args(args)
+    ref = record_generators(device, program, args=ref_args, **launch)
+    got = _EMITTERS[program](device, program, args=emit_args, **launch)
+    bad = [
+        name
+        for name, a, b in (
+            ("blocks", ref.blocks, got.blocks),
+            ("digests", [t.digest for t in ref.unique], [t.digest for t in got.unique]),
+            ("instances", ref.instances.tolist(), got.instances.tolist()),
+            ("writeback", ref.writeback, got.writeback),
+            ("locations", ref.locations, got.locations),
+        )
+        if a != b
+    ]
+    bad += [
+        f"args[{i}]"
+        for i, (a, b) in enumerate(zip(ref_args, emit_args))
+        if isinstance(a, DeviceArray) and not np.array_equal(a.data, b.data)
+    ]
+    return bad
+
+
+@contextmanager
+def check_emitters():
+    """Diff every emitted launch in scope against generator recording.
+
+    Yields a list that collects ``(kernel, differing fields)`` for each
+    launch of a program with an array emitter whose two recordings differ
+    (see :func:`emitter_mismatches`).  Checks run before the launch, on
+    copies of its arguments, so trace-cache hits are checked too.
+    """
+    found: list = []
+    _EMITTER_CHECKS.append(found)
+    try:
+        yield found
+    finally:
+        _EMITTER_CHECKS.pop()
 
 
 def _record_blocks(
@@ -1000,6 +1090,13 @@ def simulate_vectorized(
     """Record (or fetch from the trace cache) and replay one launch."""
     tracer = get_tracer()
     kernel = getattr(program, "__qualname__", repr(program))
+    if _EMITTER_CHECKS and program in _EMITTERS:
+        bad = emitter_mismatches(
+            device, program, grid_dim=grid_dim, block_dim=block_dim,
+            args=args, shared_words=shared_words, blocks=blocks,
+        )
+        if bad:
+            _EMITTER_CHECKS[-1].append((kernel, bad))
     t0 = perf_counter()
     key = None
     if trace_cache_enabled():
@@ -1019,7 +1116,8 @@ def simulate_vectorized(
     if trace is None:
         t0 = perf_counter()
         with tracer.span(
-            "record", level="debug", kernel=kernel, blocks=len(blocks), cached=False
+            "record", level="debug", kernel=kernel, blocks=len(blocks), cached=False,
+            emitted=program in _EMITTERS,
         ):
             trace = record_launch(
                 device,

@@ -80,9 +80,6 @@ class Warp:
 
     # -- public driver -----------------------------------------------------
 
-    def finished(self) -> bool:
-        return all(p is _DONE for p in self.pending)
-
     def run_until_barrier(self) -> str:
         """Advance until every live lane is done or parked at a sync.
 

@@ -126,10 +126,12 @@ def render_stats(frame: Mapping[str, Any]) -> str:
         for name, v in sorted(counters.items())
         if name.startswith("engine_") and name.endswith("_s")
     }
-    if stage:
+    emitted = counters.get("record_emitted_launches", 0)
+    if stage or emitted:
         lines.append(
             "  engine stages: "
             + " ".join(f"{k}={_fmt_s(v)}" for k, v in stage.items())
+            + f" emitted={int(emitted)}"
         )
     work_hits = counters.get("work_store_hits", 0)
     work_total = work_hits + counters.get("work_store_misses", 0)

@@ -8,7 +8,10 @@ that three ways:
 * :func:`engine_mismatches` profiles every registered algorithm over one
   raw edge list under both engines (full grid, no block sampling) and
   diffs the complete metric dictionaries — integer counters exactly,
-  derived floats at ``rtol`` (default 1e-6);
+  derived floats at ``rtol`` (default 1e-6) — and records every launch of
+  a kernel with an array emitter both ways, reporting a differing trace
+  as ``<algorithm>/trace`` (metric parity cannot see a wrong ``loc``
+  stream or location table, which ``repro profile`` attributes by);
 * :func:`engine_fuzz_one` / :func:`run_engine_fuzz` drive that check over
   generated graphs (the same strategy pool as the implementation fuzzer),
   delta-debug any mismatch down to a 1-minimal edge list, and persist a
@@ -34,7 +37,7 @@ from ..graph import io
 from ..graph.edgelist import as_edge_array, clean_edges
 from ..graph.orientation import oriented_csr
 from ..gpu.device import SIM_V100, DeviceSpec
-from ..gpu.engine import use_engine
+from ..gpu.engine import check_emitters, use_engine
 from .goldens import DEFAULT_RTOL, GoldenDiff, compare_snapshots, record_device
 from .shrink import ddmin
 from .strategies import generate_case
@@ -75,18 +78,26 @@ def _values_differ(a, b, rtol: float) -> bool:
     return abs(float(a) - float(b)) > rtol * max(abs(float(a)), abs(float(b)), 1e-300)
 
 
-def _profile_all(edges: np.ndarray, engine: str, device: DeviceSpec) -> dict[str, dict]:
+def _profile_all(
+    edges: np.ndarray, engine: str, device: DeviceSpec
+) -> tuple[dict[str, dict], dict[str, dict]]:
+    """Per-algorithm metric snapshots, and the emitted-trace differences
+    (``{algorithm: {kernel: fields}}``) the vectorised engine found."""
     csr = oriented_csr(clean_edges(as_edge_array(edges)), ordering="degree")
     out: dict[str, dict] = {}
+    traces: dict[str, dict] = {}
     with use_engine(engine):
         for cls in all_algorithms():
             alg = cls()
-            result = alg.profile(csr, device=device, max_blocks_simulated=None)
+            with check_emitters() as found:
+                result = alg.profile(csr, device=device, max_blocks_simulated=None)
             snap = result.metrics.as_dict()
             for fname in _RESULT_FIELDS:
                 snap[fname] = getattr(result, fname)
             out[alg.name] = snap
-    return out
+            if found:
+                traces[alg.name] = dict(found)
+    return out, traces
 
 
 def engine_mismatches(
@@ -100,11 +111,13 @@ def engine_mismatches(
     Returns ``{"<algorithm>/<metric>": {"event": x, "vectorized": y}}`` —
     empty means full parity.  Integer-valued entries (all the raw nvprof
     counters on an unsampled launch) compare exactly; float-valued derived
-    metrics and simulated times compare at ``rtol``.
+    metrics and simulated times compare at ``rtol``.  An emitted launch
+    trace that differs from generator recording adds
+    ``{"<algorithm>/trace": {kernel: [differing fields]}}``.
     """
-    event = _profile_all(edges, "event", device)
-    vectorized = _profile_all(edges, "vectorized", device)
-    bad: dict[str, dict] = {}
+    event, _ = _profile_all(edges, "event", device)
+    vectorized, traces = _profile_all(edges, "vectorized", device)
+    bad: dict[str, dict] = {f"{alg}/trace": found for alg, found in traces.items()}
     for alg in sorted(set(event) | set(vectorized)):
         ev = event.get(alg)
         vc = vectorized.get(alg)
