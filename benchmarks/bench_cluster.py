@@ -62,7 +62,6 @@ def test_cluster_replay(benchmark, tmp_path, monkeypatch):
     # Private disk root: cold runs must not see earlier sessions' traces,
     # and the run must not pollute the developer's cache.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
 
     timings: dict[str, float] = {}

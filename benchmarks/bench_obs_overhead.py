@@ -56,7 +56,6 @@ def _once(fn) -> float:
 
 def test_obs_overhead(benchmark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_LOG", raising=False)
 
     timings: dict[str, float] = {}

@@ -42,7 +42,6 @@ P99_DECISION_BUDGET_MS = 100.0
 def test_serve_load(benchmark, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
 
     server = TriangleServer(
         port=0,

@@ -26,7 +26,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.gpu.engine import reset_stage_times, stage_times, use_engine
+from repro.gpu.engine import event_oracle, reset_stage_times, stage_times
 from repro.gpu.trace import get_trace_cache, reset_trace_cache
 from repro.verify.fixtures import GOLDEN_DEVICES
 from repro.verify.goldens import compare_snapshots, record_device
@@ -34,16 +34,14 @@ from repro.verify.goldens import compare_snapshots, record_device
 OUT = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 
-def _matrix(engine: str) -> dict:
-    with use_engine(engine):
-        return {device: record_device(device) for device in GOLDEN_DEVICES}
+def _matrix() -> dict:
+    return {device: record_device(device) for device in GOLDEN_DEVICES}
 
 
 def test_sim_engine(benchmark, tmp_path, monkeypatch):
     # Private disk root: the cold run must not see traces from earlier
     # sessions, and the run must not pollute the developer's cache.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
 
     timings: dict[str, float] = {}
@@ -53,14 +51,15 @@ def test_sim_engine(benchmark, tmp_path, monkeypatch):
     def vectorized_phase(name: str) -> dict:
         reset_stage_times()
         t0 = time.perf_counter()
-        result = _matrix("vectorized")
+        result = _matrix()
         timings[name] = time.perf_counter() - t0
         stages[name] = {k: round(v, 4) for k, v in stage_times().items()}
         return result
 
     def run():
         t0 = time.perf_counter()
-        snapshots["event"] = _matrix("event")
+        with event_oracle():
+            snapshots["event"] = _matrix()
         timings["event_s"] = time.perf_counter() - t0
 
         reset_trace_cache()  # empty memory + (tmp) disk: true cold record

@@ -88,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="orientation pre-processing (Section II-B)",
     )
     p.add_argument(
-        "--engine",
-        default=None,
-        choices=("vectorized", "event"),
-        help="simulator engine (default: REPRO_SIM_ENGINE or vectorized)",
-    )
-    p.add_argument(
         "--profile",
         action="store_true",
         help="run the command under cProfile and print the top cumulative "
@@ -379,7 +373,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             device=device,
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
-            engine=args.engine,
         )
         if not rec.ok:
             print(f"FAILED: {rec.error}")
@@ -404,7 +397,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         session = profile_run(
             args.algorithm,
             args.dataset,
-            engine=args.engine,
             max_blocks_simulated=args.blocks,
             ordering=args.ordering,
             device=device,
@@ -416,14 +408,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         title = f"{rec.algorithm} on {rec.dataset} ({rec.device})"
         print(render_report(session.collector, key=args.key, top=args.top, title=title))
         if args.export_trace:
-            if not session.launches:
-                # Only the vectorised engine records launch traces; the
-                # event engine has nothing to place on the SM timeline.
-                print(
-                    "no launches captured (timeline export needs the "
-                    "vectorized engine) — skipping trace export"
-                )
-                return 0
             timeline = build_timeline(session.launches)
             trace = timeline_to_trace(timeline, telemetry_events=session.events)
             problems = validate_trace(trace)
@@ -453,7 +437,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             device=device,
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
-            engine=args.engine,
             jobs=args.jobs,
         )
         if args.devices is not None:
@@ -485,7 +468,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             device=device,
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
-            engine=args.engine,
             jobs=args.jobs,
             **resilience_kwargs,
         )
@@ -499,7 +481,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             device=device,
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
-            engine=args.engine,
             jobs=args.jobs,
             **resilience_kwargs,
         )
@@ -515,7 +496,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             device=device,
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
-            engine=args.engine,
             jobs=args.jobs,
             **resilience_kwargs,
         )
@@ -532,7 +512,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             ordering=args.ordering,
             max_blocks_simulated=args.blocks,
             jobs=args.jobs,
-            engine=args.engine,
         )
         best = best_config(points)
         print(f"sweep of {args.algorithm}.{args.key} on {args.dataset}:")
@@ -571,7 +550,6 @@ def _serve(args: argparse.Namespace) -> int:
         retry_policy=RetryPolicy(cell_timeout_s=args.cell_timeout),
         default_deadline_s=args.default_deadline,
         default_blocks=args.blocks,
-        engine=args.engine,
         validate=args.validate,
         drain_timeout_s=args.drain_timeout,
     )

@@ -38,7 +38,6 @@ from ..algorithms.base import TCAlgorithm, algorithm_names, get_algorithm
 from ..gpu.cluster import PartitionPlan, build_plan
 from ..gpu.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..gpu.device import SIM_V100, DeviceSpec
-from ..gpu.engine import use_engine
 from ..graph.csr import CSRGraph
 from ..graph.datasets import load_oriented
 from ..obs.metrics import get_metrics
@@ -132,7 +131,6 @@ def _simulate_partition(
     device: DeviceSpec,
     max_blocks_simulated: int | None,
     cost_model: CostModel | None,
-    engine: str | None,
 ) -> PartitionRecord:
     """Worker body: one partition on one device instance.  Never raises."""
     model = cost_model or DEFAULT_COST_MODEL
@@ -155,14 +153,13 @@ def _simulate_partition(
         )
     try:
         alg = get_algorithm(algorithm)
-        with use_engine(engine):
-            result = alg.profile(
-                part_csr,
-                device=device,
-                max_blocks_simulated=max_blocks_simulated,
-                cost_model=cost_model,
-                dataset=info.get("dataset"),
-            )
+        result = alg.profile(
+            part_csr,
+            device=device,
+            max_blocks_simulated=max_blocks_simulated,
+            cost_model=cost_model,
+            dataset=info.get("dataset"),
+        )
     except Exception as exc:
         return PartitionRecord(
             status="failed", triangles=0, sim_time_s=0.0, device_time_s=exchange_time,
@@ -220,7 +217,6 @@ def run_cluster(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     jobs: int | None = 1,
     dataset: str | None = None,
     plan: PartitionPlan | None = None,
@@ -264,7 +260,6 @@ def run_cluster(
                 device,
                 max_blocks_simulated,
                 cost_model,
-                engine,
             )
             for p in plan.partitions
         ]
@@ -426,7 +421,6 @@ def run_cluster_matrix(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     jobs: int | None = 1,
     run_id: str | None = None,
     resume: bool = False,
@@ -461,7 +455,6 @@ def run_cluster_matrix(
                 "device": device.name,
                 "ordering": ordering,
                 "max_blocks_simulated": max_blocks_simulated,
-                "engine": engine or "",
             }
         )
         if resume:
@@ -492,7 +485,6 @@ def run_cluster_matrix(
                         ordering=ordering,
                         max_blocks_simulated=max_blocks_simulated,
                         cost_model=cost_model,
-                        engine=engine,
                         jobs=jobs,
                         plan=plan,
                     )

@@ -117,7 +117,6 @@ def run_matrix(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     jobs: int = 1,
     progress: bool = False,
     progress_callback: Callable[[RunRecord, int, int], None] | None = None,
@@ -159,7 +158,6 @@ def run_matrix(
         datasets=len(dsets),
         cells=len(cells),
         jobs=jobs,
-        engine=engine or "",
     )
 
     callbacks: list[Callable[[RunRecord, int, int], None]] = []
@@ -213,7 +211,6 @@ def run_matrix(
                 "device": device.name,
                 "capacity_device": capacity_device.name,
                 "validate": validate,
-                "engine": engine,
             })
             if resume is not None:
                 completed = journal.completed()
@@ -228,7 +225,6 @@ def run_matrix(
             ordering=ordering,
             max_blocks_simulated=max_blocks_simulated,
             cost_model=cost_model,
-            engine=engine,
             policy=policy,
             validate=validate,
             journal=journal,
@@ -248,7 +244,6 @@ def run_matrix(
                 ordering=ordering,
                 max_blocks_simulated=max_blocks_simulated,
                 cost_model=cost_model,
-                engine=engine,
             )
             records.append(rec)
             _notify(rec, len(records), len(cells))
@@ -263,7 +258,6 @@ def run_matrix(
             ordering=ordering,
             max_blocks_simulated=max_blocks_simulated,
             cost_model=cost_model,
-            engine=engine,
             progress_callback=_notify,
         )
     return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)

@@ -63,7 +63,6 @@ def _run_cell(
     ordering: str,
     max_blocks_simulated: int | None,
     cost_model: CostModel | None,
-    engine: str | None = None,
 ) -> RunRecord:
     """Worker entry point: one matrix cell, never raises."""
     return execute_cell(
@@ -74,7 +73,6 @@ def _run_cell(
         ordering=ordering,
         max_blocks_simulated=max_blocks_simulated,
         cost_model=cost_model,
-        engine=engine,
     )
 
 
@@ -87,7 +85,6 @@ def run_cells(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     progress_callback: Callable[[RunRecord, int, int], None] | None = None,
 ) -> list[RunRecord]:
     """Execute ``(algorithm, dataset)`` cells, fanned over worker processes.
@@ -103,7 +100,7 @@ def run_cells(
         return []
     jobs = _resolve_jobs(jobs, total)
 
-    common = (device, capacity_device, ordering, max_blocks_simulated, cost_model, engine)
+    common = (device, capacity_device, ordering, max_blocks_simulated, cost_model)
 
     if jobs == 1:
         records = []

@@ -367,7 +367,6 @@ def execute_cell(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     validate: bool = False,
 ) -> RunRecord:
     """One matrix cell with chaos hooks and optional validation; never raises.
@@ -387,7 +386,6 @@ def execute_cell(
             level="info",
             algorithm=_algorithm_name(algorithm),
             dataset=dataset,
-            engine=engine or "",
             blocks=max_blocks_simulated,
         ) as span:
             try:
@@ -406,7 +404,6 @@ def execute_cell(
                     ordering=ordering,
                     max_blocks_simulated=max_blocks_simulated,
                     cost_model=cost_model,
-                    engine=engine,
                 )
                 record = chaos_post_run(record, specs=specs)
             except Exception as exc:
@@ -605,9 +602,16 @@ class RunJournal:
             return None
 
     def check_or_write_meta(self, meta: Mapping) -> None:
-        """Pin the run configuration, or verify it matches on resume."""
+        """Pin the run configuration, or verify it matches on resume.
+
+        Journals from before the simulator engine stopped being a run
+        option pin an ``engine`` key; engines are result-identical by
+        contract, so any stored value is dropped before comparing.
+        """
         normalized = json.loads(json.dumps(meta, default=_json_default))
         existing = self.read_meta()
+        if existing is not None:
+            existing.pop("engine", None)
         if existing is None:
             tmp = self.meta_path.with_suffix(".json.tmp")
             tmp.write_text(json.dumps(normalized, indent=2, sort_keys=True))
@@ -725,7 +729,7 @@ def _mp_context():
 
 
 def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
-                 blocks, cost_model, engine, validate) -> None:
+                 blocks, cost_model, validate) -> None:
     """Subprocess entry point: run one cell attempt, ship the record back."""
     try:
         record = execute_cell(
@@ -736,7 +740,6 @@ def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
             ordering=ordering,
             max_blocks_simulated=blocks,
             cost_model=cost_model,
-            engine=engine,
             validate=validate,
         )
         conn.send(record)
@@ -761,7 +764,6 @@ def _attempt_cell(
     ordering: str,
     blocks: int | None,
     cost_model: CostModel | None,
-    engine: str | None,
     validate: bool,
     timeout_s: float | None,
 ) -> RunRecord:
@@ -776,7 +778,7 @@ def _attempt_cell(
     proc = ctx.Process(
         target=_cell_worker,
         args=(send, algorithm, dataset, device, capacity_device, ordering,
-              blocks, cost_model, engine, validate),
+              blocks, cost_model, validate),
         daemon=True,
     )
     proc.start()
@@ -826,7 +828,6 @@ def run_cell_resilient(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     validate: bool = True,
 ) -> RunRecord:
     """Run one cell under the timeout + degrading-retry policy.
@@ -850,7 +851,6 @@ def run_cell_resilient(
                 ordering=ordering,
                 blocks=blocks,
                 cost_model=cost_model,
-                engine=engine,
                 validate=validate,
                 timeout_s=policy.cell_timeout_s,
             )
@@ -933,7 +933,6 @@ def run_cells_resilient(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
     policy: RetryPolicy | None = None,
     validate: bool = True,
     journal: RunJournal | None = None,
@@ -1016,7 +1015,6 @@ def run_cells_resilient(
             ordering=ordering,
             max_blocks_simulated=max_blocks_simulated,
             cost_model=cost_model,
-            engine=engine,
             validate=validate,
         )
         try:

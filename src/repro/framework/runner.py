@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from ..algorithms.base import TCAlgorithm, get_algorithm
 from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
-from ..gpu.engine import use_engine
 from ..gpu.memory import DeviceOutOfMemory
 from ..gpu.sharedmem import SharedMemoryOverflow
 from ..graph.csr import CSRGraph
@@ -111,7 +110,6 @@ def run_one(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     cost_model: CostModel | None = None,
-    engine: str | None = None,
 ) -> RunRecord:
     """Run one cell of the comparison matrix.
 
@@ -127,9 +125,6 @@ def run_one(
         Device whose *real* memory bounds the paper-scale footprint check
         (``None`` or omitted: the full 16 GB V100, reproducing the paper's
         failures).
-    engine:
-        Simulator engine for this cell's launches (``"vectorized"`` /
-        ``"event"``); ``None`` defers to ``REPRO_SIM_ENGINE`` / default.
     """
     device = device if device is not None else SIM_V100
     capacity_device = capacity_device if capacity_device is not None else TESLA_V100
@@ -145,7 +140,7 @@ def run_one(
                 f"paper scale; {capacity_device.name} has "
                 f"{capacity_device.global_mem_bytes / 1e9:.1f} GB"
             )
-        with use_engine(engine), tracer.span(
+        with tracer.span(
             "run", level="debug", algorithm=alg.name, dataset=dataset, device=device.name
         ):
             result = alg.profile(

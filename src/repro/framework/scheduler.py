@@ -135,8 +135,8 @@ class CellJob:
     deadline: float | None = None
     shed_level: int = 0
     client: str = ""
-    #: per-job execution overrides (``ordering`` / ``blocks`` / ``engine``
-    #: / ``validate``); anything absent falls back to scheduler defaults.
+    #: per-job execution overrides (``ordering`` / ``blocks`` /
+    #: ``validate``); anything absent falls back to scheduler defaults.
     overrides: dict = field(default_factory=dict)
 
     def remaining_s(self, now: float | None = None) -> float | None:
@@ -204,7 +204,6 @@ class JobScheduler:
         ordering: str = "degree",
         max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
         cost_model: CostModel | None = None,
-        engine: str | None = None,
         validate: bool = False,
         on_event: Callable[[str, CellJob, dict], None] | None = None,
     ) -> None:
@@ -218,7 +217,6 @@ class JobScheduler:
             ordering=ordering,
             max_blocks_simulated=max_blocks_simulated,
             cost_model=cost_model,
-            engine=engine,
             validate=validate,
         )
         self._on_event = on_event
@@ -394,7 +392,6 @@ class JobScheduler:
                 ordering=over.get("ordering", self.defaults["ordering"]),
                 max_blocks_simulated=blocks,
                 cost_model=self.defaults["cost_model"],
-                engine=over.get("engine", self.defaults["engine"]),
                 validate=over.get("validate", self.defaults["validate"]),
             )
             if not is_worker_death(record):
@@ -436,10 +433,10 @@ class JobScheduler:
         ``overrides["cluster"]`` carries ``{"devices": N, "partitioner":
         ..., "seed": ..., "jobs": ...}``; the partition fan-out happens
         inside :func:`repro.framework.cluster.run_cluster`, sharing the
-        scheduler's shed-block budget and per-job engine/ordering
-        overrides.  Cluster cells run in-process (the partition workers
-        are the supervised processes), so any setup error is captured
-        here rather than looping the worker-death supervisor.
+        scheduler's shed-block budget and per-job ordering override.
+        Cluster cells run in-process (the partition workers are the
+        supervised processes), so any setup error is captured here rather
+        than looping the worker-death supervisor.
         """
         from .cluster import cluster_to_run_record, run_cluster  # local: avoids import cycle
 
@@ -456,7 +453,6 @@ class JobScheduler:
                     ordering=over.get("ordering", self.defaults["ordering"]),
                     max_blocks_simulated=blocks,
                     cost_model=self.defaults["cost_model"],
-                    engine=over.get("engine", self.defaults["engine"]),
                     jobs=cluster.get("jobs", 1),
                 )
             )

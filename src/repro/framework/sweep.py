@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from ..algorithms.base import get_algorithm
 from ..gpu.device import SIM_V100, DeviceSpec
-from ..gpu.engine import use_engine
 from ..graph.datasets import load_oriented
 from .runner import DEFAULT_MAX_BLOCKS
 
@@ -41,15 +40,13 @@ def _sweep_point(
     device: DeviceSpec,
     ordering: str,
     max_blocks_simulated: int | None,
-    engine: str | None = None,
 ) -> SweepPoint:
     """One grid point (module-level so worker processes can pickle it)."""
     csr = load_oriented(dataset, ordering)
     alg = get_algorithm(algorithm, **config)
-    with use_engine(engine):
-        result = alg.profile(
-            csr, device=device, max_blocks_simulated=max_blocks_simulated, dataset=dataset
-        )
+    result = alg.profile(
+        csr, device=device, max_blocks_simulated=max_blocks_simulated, dataset=dataset
+    )
     return SweepPoint(
         config=config,
         sim_time_s=result.sim_time_s,
@@ -68,7 +65,6 @@ def sweep_config(
     ordering: str = "degree",
     max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
     jobs: int = 1,
-    engine: str | None = None,
 ) -> list[SweepPoint]:
     """Run ``algorithm`` on ``dataset`` for every combination in ``grid``.
 
@@ -80,7 +76,7 @@ def sweep_config(
     keys = list(grid)
     configs = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
     argtuples = [
-        (algorithm, dataset, config, device, ordering, max_blocks_simulated, engine)
+        (algorithm, dataset, config, device, ordering, max_blocks_simulated)
         for config in configs
     ]
     if jobs == 1 or len(argtuples) <= 1:

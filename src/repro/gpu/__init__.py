@@ -19,15 +19,7 @@ from .cluster import (
 )
 from .costmodel import DEFAULT_COST_MODEL, CostModel, estimate_time
 from .coop import group_inclusive_scan, scan_tmp_words
-from .engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    record_launch,
-    replay_launch,
-    resolve_engine,
-    simulate_vectorized,
-    use_engine,
-)
+from .engine import record_launch, replay_launch, simulate_vectorized
 from .device import (
     DEVICES,
     RTX_4090,
@@ -82,8 +74,6 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_COST_MODEL",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "ENTRY_BYTES",
     "PARTITIONERS",
     "DEVICES",
@@ -132,7 +122,6 @@ __all__ = [
     "record_launch",
     "replay_launch",
     "reset_trace_cache",
-    "resolve_engine",
     "scaled_device",
     "scan_tmp_words",
     "shuffle_scan",
@@ -142,7 +131,6 @@ __all__ = [
     "syncthreads",
     "syncwarp",
     "trace_cache_enabled",
-    "use_engine",
     "validate_shared_words",
     "vertex_hash",
     "warp_exchange",

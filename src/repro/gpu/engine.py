@@ -1,4 +1,4 @@
-"""Record/replay simulator engine and engine selection.
+"""Record/replay simulator engine.
 
 The event executor (:mod:`repro.gpu.warp`) advances one Python generator
 event at a time, interleaving scheduling, functional effects, and metric
@@ -31,15 +31,16 @@ Replay is metric-identical to the event engine because every counter is a
 pure function of the per-group payload multisets and their issue order,
 both of which the trace preserves; see DESIGN.md §4e for the argument.
 
-Engine selection: ``REPRO_SIM_ENGINE=vectorized|event`` (default
-``vectorized``), overridable per call site via :func:`use_engine` or the
-explicit ``engine=`` arguments threaded through the framework layer.
+Every launch takes this path.  The event engine
+(:func:`repro.gpu.kernel._run_event`) is kept only as the oracle it is
+checked against: :func:`event_oracle` routes the launches of a scope
+through it, for ``repro.verify engines``, the tests and
+``benchmarks/bench_sim_engine.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -81,9 +82,6 @@ from .trace import (
 from .warp import _DONE, Warp
 
 __all__ = [
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "DEFAULT_ENGINE",
     "RecordingWarp",
     "check_emitters",
     "emitter_mismatches",
@@ -94,52 +92,30 @@ __all__ = [
     "replay_launch_batch",
     "replay_line_profile",
     "reset_stage_times",
-    "resolve_engine",
     "simulate_vectorized",
     "stage_times",
-    "use_engine",
 ]
 
-ENGINES = ("vectorized", "event")
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-DEFAULT_ENGINE = "vectorized"
-
-_override: list[str] = []
-
-
-def _check_engine(name: str) -> str:
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown simulator engine {name!r}; expected one of {ENGINES} "
-            f"(set {ENGINE_ENV_VAR} or pass engine=...)"
-        )
-    return name
-
-
-def resolve_engine(explicit: str | None = None) -> str:
-    """Engine for the next launch: explicit arg > :func:`use_engine` scope >
-    ``REPRO_SIM_ENGINE`` > the ``vectorized`` default."""
-    if explicit is not None:
-        return _check_engine(explicit)
-    if _override:
-        return _override[-1]
-    env = os.environ.get(ENGINE_ENV_VAR)
-    if env:
-        return _check_engine(env)
-    return DEFAULT_ENGINE
+#: open :func:`event_oracle` scopes; launches take the event engine while > 0.
+_oracle_depth = 0
 
 
 @contextmanager
-def use_engine(name: str | None):
-    """Scope an engine choice over a block of launches (``None`` = no-op)."""
-    if name is None:
-        yield
-        return
-    _override.append(_check_engine(name))
+def event_oracle():
+    """Run every launch in this scope on the event engine, the reference
+    record/replay must match exactly.  Not part of the public API: only
+    ``repro.verify engines``, tests and the engine benchmark enter it."""
+    global _oracle_depth
+    _oracle_depth += 1
     try:
         yield
     finally:
-        _override.pop()
+        _oracle_depth -= 1
+
+
+def in_event_oracle() -> bool:
+    """Whether the current launch runs inside an :func:`event_oracle` scope."""
+    return _oracle_depth > 0
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from ..obs.attribution import active_collector
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from .device import DeviceSpec
-from .engine import resolve_engine, simulate_vectorized
+from .engine import in_event_oracle, simulate_vectorized
 from .intrinsics import ThreadCtx
 from .memory import SectorCache
 from .metrics import ProfileMetrics, SECTOR_BYTES
@@ -72,7 +72,6 @@ def launch_kernel(
     shared_words: int = 0,
     metrics: ProfileMetrics | None = None,
     max_blocks_simulated: int | None = None,
-    engine: str | None = None,
 ) -> LaunchResult:
     """Simulate ``program<<<grid_dim, block_dim, shared_words*4>>>(*args)``.
 
@@ -90,9 +89,6 @@ def launch_kernel(
         into it (multi-kernel algorithms pass one accumulator through).
     max_blocks_simulated:
         Enable block sampling (see module docstring).
-    engine:
-        Simulator engine for this launch (``"vectorized"`` / ``"event"``);
-        ``None`` defers to :func:`repro.gpu.engine.resolve_engine`.
 
     Returns
     -------
@@ -109,38 +105,26 @@ def launch_kernel(
     # allocates real shared memory, so check the request up front.
     validate_shared_words(shared_words, device.shared_mem_per_block)
     blocks = _select_blocks(grid_dim, max_blocks_simulated)
-    resolved = resolve_engine(engine)
     kernel_name = getattr(program, "__qualname__", repr(program))
     with get_tracer().span(
         "launch",
         level="info",
         kernel=kernel_name,
-        engine=resolved,
         grid_dim=grid_dim,
         block_dim=block_dim,
         blocks_simulated=len(blocks),
         device=device.name,
     ) as span:
-        if resolved == "vectorized":
-            local = simulate_vectorized(
-                device,
-                program,
-                grid_dim=grid_dim,
-                block_dim=block_dim,
-                args=args,
-                shared_words=shared_words,
-                blocks=blocks,
-            )
-        else:
-            local = _run_event(
-                device,
-                program,
-                grid_dim=grid_dim,
-                block_dim=block_dim,
-                args=args,
-                shared_words=shared_words,
-                blocks=blocks,
-            )
+        simulate = _run_event if in_event_oracle() else simulate_vectorized
+        local = simulate(
+            device,
+            program,
+            grid_dim=grid_dim,
+            block_dim=block_dim,
+            args=args,
+            shared_words=shared_words,
+            blocks=blocks,
+        )
         local.blocks_simulated = len(blocks)
         local.kernel_launches = 1
         factor = grid_dim / len(blocks) if len(blocks) else 1.0
@@ -180,7 +164,11 @@ def _run_event(
     shared_words: int,
     blocks: np.ndarray,
 ) -> ProfileMetrics:
-    """The event engine: interleave scheduling, effects, and accounting."""
+    """The event engine: interleave scheduling, effects, and accounting.
+
+    The oracle the record/replay path is checked against; launches reach
+    it only inside :func:`repro.gpu.engine.event_oracle`.
+    """
     local = ProfileMetrics(warp_size=device.warp_size)
     # Frame inspection per issue step is only paid when a profiler asked
     # for attribution; the dict is shared by every warp of the launch.

@@ -33,7 +33,6 @@ def profile_run(
     algorithm,
     dataset: str,
     *,
-    engine: str | None = None,
     max_blocks_simulated: int | None = None,
     ordering: str = "degree",
     device=None,
@@ -55,7 +54,6 @@ def profile_run(
             record = run_one(
                 algorithm,
                 dataset,
-                engine=engine,
                 ordering=ordering,
                 max_blocks_simulated=(
                     DEFAULT_MAX_BLOCKS if max_blocks_simulated is None else max_blocks_simulated

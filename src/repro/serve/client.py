@@ -246,7 +246,6 @@ class ServeClient:
         priority: int = 0,
         deadline_s: float | None = None,
         ordering: str | None = None,
-        engine: str | None = None,
         validate: bool = False,
         stream: bool = True,
     ) -> JobReceipt:
@@ -263,8 +262,6 @@ class ServeClient:
             frame["deadline_s"] = deadline_s
         if ordering is not None:
             frame["ordering"] = ordering
-        if engine is not None:
-            frame["engine"] = engine
         response = self._request(frame)
         receipt = JobReceipt(response)
         if receipt.accepted and receipt.job_id:

@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 #: Bump when the wire shape changes; every server frame carries it.
-PROTOCOL_SCHEMA = 1
+#: Schema 2 dropped the submit ``engine`` field (now ignored if sent).
+PROTOCOL_SCHEMA = 2
 
 #: Hard ceiling on one frame's size.  A submit request is a few hundred
 #: bytes; anything near this limit is garbage or abuse, and an unbounded
@@ -206,7 +207,6 @@ class SubmitRequest:
     priority: int = 0
     deadline_s: float | None = None
     ordering: str = "degree"
-    engine: str | None = None
     validate: bool = False
     stream: bool = True
     client: str = ""
@@ -277,9 +277,6 @@ def parse_submit(frame: dict) -> SubmitRequest:
     ordering = frame.get("ordering", "degree")
     if ordering not in ("degree", "id"):
         raise RequestError("bad_request", f"unknown ordering {ordering!r}")
-    engine = frame.get("engine")
-    if engine is not None and engine not in ("vectorized", "event"):
-        raise RequestError("bad_request", f"unknown engine {engine!r}")
     validate = frame.get("validate", False)
     if not isinstance(validate, bool):
         raise RequestError("bad_request", "field 'validate' must be a boolean")
@@ -294,7 +291,6 @@ def parse_submit(frame: dict) -> SubmitRequest:
         priority=priority,
         deadline_s=deadline_s,
         ordering=ordering,
-        engine=engine,
         validate=validate,
         stream=stream,
         client=str(frame.get("client", "")),

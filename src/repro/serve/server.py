@@ -170,7 +170,6 @@ class TriangleServer:
         supervision: SupervisionPolicy | None = None,
         default_deadline_s: float | None = 60.0,
         default_blocks: int | None = DEFAULT_MAX_BLOCKS,
-        engine: str | None = None,
         validate: bool = False,
         drain_timeout_s: float = 30.0,
         terminal_ttl_s: float = 900.0,
@@ -226,7 +225,6 @@ class TriangleServer:
             workers=workers,
             policy=retry_policy or RetryPolicy(cell_timeout_s=None),
             supervision=supervision,
-            engine=engine,
             validate=validate,
             on_event=self._on_scheduler_event,
         )
@@ -545,7 +543,7 @@ class TriangleServer:
             "algorithm": submit.algorithm, "dataset": submit.dataset,
             "blocks": blocks, "priority": submit.priority,
             "deadline_s": deadline_s, "ordering": submit.ordering,
-            "engine": submit.engine, "validate": submit.validate,
+            "validate": submit.validate,
             "client": submit.client, "tag": submit.tag,
         }
         state = _JobState(
@@ -599,7 +597,6 @@ class TriangleServer:
             overrides={
                 "blocks": request.get("blocks"),
                 "ordering": request.get("ordering") or "degree",
-                "engine": request.get("engine"),
                 "validate": bool(request.get("validate")),
             },
         )

@@ -13,9 +13,9 @@ one-line diff naming the exact cell.
 Snapshots live in ``tests/goldens/cluster_<device>.json`` with the same
 diff-stability rules as the metric goldens (sorted keys, floats at 10
 significant digits, trailing newline) and the same ``--update``
-regeneration flow (``python -m repro.verify cluster --update``).  Both
-simulator engines must produce byte-identical snapshots — the cluster CI
-lane runs the check under each.
+regeneration flow (``python -m repro.verify cluster --update``).  The
+event oracle (:func:`repro.gpu.engine.event_oracle`) must reproduce the
+snapshot byte for byte — ``tests/test_cluster_goldens.py`` checks it.
 """
 
 from __future__ import annotations

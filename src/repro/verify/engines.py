@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from ..graph import io
 from ..graph.edgelist import as_edge_array, clean_edges
 from ..graph.orientation import oriented_csr
 from ..gpu.device import SIM_V100, DeviceSpec
-from ..gpu.engine import check_emitters, use_engine
+from ..gpu.engine import check_emitters, event_oracle
 from .goldens import DEFAULT_RTOL, GoldenDiff, compare_snapshots, record_device
 from .shrink import ddmin
 from .strategies import generate_case
@@ -79,14 +80,15 @@ def _values_differ(a, b, rtol: float) -> bool:
 
 
 def _profile_all(
-    edges: np.ndarray, engine: str, device: DeviceSpec
+    edges: np.ndarray, oracle: bool, device: DeviceSpec
 ) -> tuple[dict[str, dict], dict[str, dict]]:
-    """Per-algorithm metric snapshots, and the emitted-trace differences
-    (``{algorithm: {kernel: fields}}``) the vectorised engine found."""
+    """Per-algorithm metric snapshots (on the event oracle if ``oracle``),
+    and the emitted-trace differences (``{algorithm: {kernel: fields}}``)
+    the vectorised engine found."""
     csr = oriented_csr(clean_edges(as_edge_array(edges)), ordering="degree")
     out: dict[str, dict] = {}
     traces: dict[str, dict] = {}
-    with use_engine(engine):
+    with event_oracle() if oracle else nullcontext():
         for cls in all_algorithms():
             alg = cls()
             with check_emitters() as found:
@@ -115,8 +117,8 @@ def engine_mismatches(
     trace that differs from generator recording adds
     ``{"<algorithm>/trace": {kernel: [differing fields]}}``.
     """
-    event, _ = _profile_all(edges, "event", device)
-    vectorized, traces = _profile_all(edges, "vectorized", device)
+    event, _ = _profile_all(edges, True, device)
+    vectorized, traces = _profile_all(edges, False, device)
     bad: dict[str, dict] = {f"{alg}/trace": found for alg, found in traces.items()}
     for alg in sorted(set(event) | set(vectorized)):
         ev = event.get(alg)
@@ -276,8 +278,7 @@ def fixture_parity(
     Both snapshots are recorded fresh (the trace cache still applies inside
     the vectorised engine — writeback correctness is part of parity).
     """
-    with use_engine("event"):
+    with event_oracle():
         event = record_device(device_name)
-    with use_engine("vectorized"):
-        vectorized = record_device(device_name)
+    vectorized = record_device(device_name)
     return compare_snapshots(event, vectorized, rtol=rtol)

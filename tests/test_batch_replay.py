@@ -11,9 +11,9 @@ configurations, and matrix cells.
 import numpy as np
 import pytest
 
-from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel, use_engine
+from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel
 from repro.gpu.device import SIM_RTX_4090, SIM_V100, get_device
-from repro.gpu.engine import record_launch, replay_launch, replay_launch_batch
+from repro.gpu.engine import event_oracle, record_launch, replay_launch, replay_launch_batch
 from repro.gpu.intrinsics import atomic_add_global, ld_global, st_global, syncthreads
 from repro.gpu.trace import _trace_from_arrays, _trace_to_arrays, get_trace_cache
 from repro.verify.fixtures import GOLDEN_DEVICES
@@ -25,7 +25,6 @@ _MEMO_SECTIONS = ("base_counters", "stream_per_trace", "stream", "group_sectors"
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     from repro.gpu.trace import reset_trace_cache
 
     yield reset_trace_cache()
@@ -134,7 +133,7 @@ def test_batch_equals_event_engine():
         data = gm.alloc("data", rng.integers(0, 99, size=n, dtype=np.int64))
         out = gm.zeros("out", 8)
         metrics = ProfileMetrics(warp_size=SIM_V100.warp_size)
-        with use_engine("event"):
+        with event_oracle():
             launch_kernel(
                 SIM_V100,
                 kernel,
@@ -167,8 +166,7 @@ def test_batch_equals_per_launch_on_golden_matrix():
     """
     device_name = GOLDEN_DEVICES[0]
     device = get_device(device_name)
-    with use_engine("vectorized"):
-        record_device(device_name)
+    record_device(device_name)
     traces = list(get_trace_cache()._entries.values())
     assert len(traces) > 20  # the matrix produced a real trace population
     solo = [replay_launch(_fresh_copy(t), device).as_dict() for t in traces]
@@ -194,8 +192,7 @@ def test_batch_replay_memoises_totals():
 def test_golden_snapshot_identical_across_engines():
     """Byte-identical snapshots: event vs. vectorized on the golden device."""
     device_name = GOLDEN_DEVICES[0]
-    with use_engine("event"):
+    with event_oracle():
         event = record_device(device_name)
-    with use_engine("vectorized"):
-        vec = record_device(device_name)
+    vec = record_device(device_name)
     assert compare_snapshots(event, vec) == []

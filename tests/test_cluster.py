@@ -9,6 +9,8 @@ bug drill proves the check actually fires when a partition drops an edge.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,25 @@ class TestMatrixResume:
         assert resumed.records == baseline.records
         # every cell was already journaled: nothing re-runs, nothing re-appends
         assert journal.path.read_text().count("\n") == lines_before
+
+    @pytest.mark.parametrize("stored", [None, "", "event"])
+    def test_resume_of_journal_that_pinned_an_engine(self, tmp_cache, stored):
+        """Cluster journals from before the engine stopped being a run
+        option pin ``"engine": ""`` in meta.json; they still resume."""
+        kwargs = dict(devices=2, partitioner="hash2d", seed=5,
+                      max_blocks_simulated=BLOCKS)
+        baseline = run_cluster_matrix(self.ALGS, ("As-Caida",), **kwargs)
+        rid = f"cl-engine-{stored}"
+        run_cluster_matrix(self.ALGS, ("As-Caida",), run_id=rid, **kwargs)
+        journal = RunJournal(rid)
+        meta = json.loads(journal.meta_path.read_text())
+        journal.meta_path.write_text(json.dumps({**meta, "engine": stored}))
+        first = journal.path.read_text().splitlines()[0]
+        journal.path.write_text(first + "\n")  # interrupted after one cell
+        resumed = run_cluster_matrix(self.ALGS, ("As-Caida",), run_id=rid,
+                                     resume=True, **kwargs)
+        assert resumed.records == baseline.records
+        assert len(journal.load()) == len(self.ALGS)
 
     def test_meta_pins_partitioning_config(self, tmp_cache):
         kwargs = dict(devices=2, partitioner="hash2d", seed=5,

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
+from repro.gpu.engine import event_oracle
 from repro.verify.cli import main as verify_main
 from repro.verify.cluster_goldens import (
     CLUSTER_GOLDEN_SCHEMA,
@@ -43,11 +45,10 @@ class TestCommittedGoldens:
         assert path.read_bytes() == cluster_golden_path("sim-v100").read_bytes()
 
     @pytest.mark.parametrize("engine", ("vectorized", "event"))
-    def test_engines_agree_byte_for_byte(self, engine, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        path = write_cluster_goldens(
-            record_cluster_device("sim-v100"), tmp_path / "snap.json"
-        )
+    def test_engines_agree_byte_for_byte(self, engine, tmp_path):
+        with event_oracle() if engine == "event" else nullcontext():
+            snap = record_cluster_device("sim-v100")
+        path = write_cluster_goldens(snap, tmp_path / "snap.json")
         assert path.read_bytes() == cluster_golden_path("sim-v100").read_bytes()
 
 

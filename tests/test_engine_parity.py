@@ -7,20 +7,15 @@ numbers even in float fields); derived float metrics at rtol=1e-6.
 """
 
 import dataclasses
-import os
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.gpu import (
-    GlobalMemory,
-    ProfileMetrics,
-    launch_kernel,
-    resolve_engine,
-    use_engine,
-)
+from repro.gpu import GlobalMemory, ProfileMetrics, kernel, launch_kernel
 from repro.gpu.device import SIM_RTX_4090, SIM_V100, get_device
-from repro.gpu.engine import DEFAULT_ENGINE
+from repro.gpu.engine import event_oracle, in_event_oracle
 from repro.gpu.intrinsics import (
     alu,
     atomic_add_global,
@@ -61,8 +56,8 @@ def _unsampled_snapshots(fixture, device):
 
     csr = fixture_csr(fixture)
     out = {}
-    for engine in ("event", "vectorized"):
-        with use_engine(engine):
+    for engine, scope in (("event", event_oracle), ("vectorized", nullcontext)):
+        with scope():
             per_alg = {}
             for cls in all_algorithms():
                 alg = cls()
@@ -126,7 +121,7 @@ def _zoo_kernel(ctx, n, data, out, flags):
     yield atomic_or_global(flags, i % 3, 1 << (i % 7), "flag")
 
 
-def _run_zoo(engine, device, n=173, block_dim=64, max_blocks=None):
+def _run_zoo(oracle, device, n=173, block_dim=64, max_blocks=None):
     gm = GlobalMemory(device)
     rng = np.random.default_rng(41)
     data = gm.alloc("data", rng.integers(0, 100, size=n, dtype=np.int64))
@@ -134,7 +129,7 @@ def _run_zoo(engine, device, n=173, block_dim=64, max_blocks=None):
     flags = gm.zeros("flags", 3)
     metrics = ProfileMetrics(warp_size=device.warp_size)
     grid = -(-n // block_dim)
-    with use_engine(engine):
+    with event_oracle() if oracle else nullcontext():
         launch_kernel(
             device,
             _zoo_kernel,
@@ -149,24 +144,24 @@ def _run_zoo(engine, device, n=173, block_dim=64, max_blocks=None):
 
 
 def test_zoo_kernel_parity_full_grid():
-    m_ev, out_ev, fl_ev = _run_zoo("event", SIM_V100)
-    m_vc, out_vc, fl_vc = _run_zoo("vectorized", SIM_V100)
+    m_ev, out_ev, fl_ev = _run_zoo(True, SIM_V100)
+    m_vc, out_vc, fl_vc = _run_zoo(False, SIM_V100)
     assert m_ev == m_vc
     np.testing.assert_array_equal(out_ev, out_vc)
     np.testing.assert_array_equal(fl_ev, fl_vc)
 
 
 def test_zoo_kernel_parity_sampled():
-    m_ev, _, _ = _run_zoo("event", SIM_RTX_4090, n=1031, max_blocks=4)
-    m_vc, _, _ = _run_zoo("vectorized", SIM_RTX_4090, n=1031, max_blocks=4)
+    m_ev, _, _ = _run_zoo(True, SIM_RTX_4090, n=1031, max_blocks=4)
+    m_vc, _, _ = _run_zoo(False, SIM_RTX_4090, n=1031, max_blocks=4)
     assert m_ev == m_vc
 
 
 def test_zoo_kernel_parity_tiny_caches():
     """Capacities small enough to evict force the exact LRU-walk fallback."""
     tiny = dataclasses.replace(SIM_V100, l1_bytes=4 * 32, l2_bytes=8 * 32)
-    m_ev, out_ev, _ = _run_zoo("event", tiny)
-    m_vc, out_vc, _ = _run_zoo("vectorized", tiny)
+    m_ev, out_ev, _ = _run_zoo(True, tiny)
+    m_vc, out_vc, _ = _run_zoo(False, tiny)
     assert m_ev == m_vc
     assert m_vc["dram_sectors"] > 0
     np.testing.assert_array_equal(out_ev, out_vc)
@@ -174,48 +169,32 @@ def test_zoo_kernel_parity_tiny_caches():
 
 def test_zoo_kernel_parity_no_caches():
     bare = dataclasses.replace(SIM_V100, l1_bytes=0, l2_bytes=0)
-    m_ev, _, _ = _run_zoo("event", bare)
-    m_vc, _, _ = _run_zoo("vectorized", bare)
+    m_ev, _, _ = _run_zoo(True, bare)
+    m_vc, _, _ = _run_zoo(False, bare)
     assert m_ev == m_vc
     assert m_vc["l1_hit_sectors"] == 0
 
 
 # --------------------------------------------------------------------------
-# engine selection
+# the oracle scope
 # --------------------------------------------------------------------------
 
 
-def test_resolve_engine_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    assert resolve_engine() == DEFAULT_ENGINE == "vectorized"
-
-
-def test_resolve_engine_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-    assert resolve_engine() == "event"
-    # use_engine scope beats the environment; explicit arg beats both.
-    with use_engine("vectorized"):
-        assert resolve_engine() == "vectorized"
-        assert resolve_engine("event") == "event"
-    assert resolve_engine() == "event"
-
-
-def test_resolve_engine_invalid(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "warp-drive")
-    with pytest.raises(ValueError, match="warp-drive"):
-        resolve_engine()
-    monkeypatch.delenv("REPRO_SIM_ENGINE")
-    with pytest.raises(ValueError, match="unknown simulator engine"):
-        resolve_engine("turbo")
-    with pytest.raises(ValueError):
-        with use_engine("turbo"):
-            pass  # pragma: no cover - context must refuse to enter
-
-
-def test_use_engine_none_is_noop(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    with use_engine(None):
-        assert resolve_engine() == "vectorized"
+def test_event_oracle_routes_launches_to_event_engine():
+    """Launches take record/replay unless an oracle scope is open; scopes
+    nest and close on error."""
+    assert not in_event_oracle()
+    with mock.patch.object(kernel, "_run_event", wraps=kernel._run_event) as spy:
+        _run_zoo(False, SIM_V100, n=40)
+        assert spy.call_count == 0
+        with event_oracle():
+            with event_oracle():
+                _run_zoo(False, SIM_V100, n=40)
+            assert in_event_oracle()
+        assert spy.call_count == 1
+        with pytest.raises(RuntimeError), event_oracle():
+            raise RuntimeError
+    assert not in_event_oracle()
 
 
 def test_fixture_names_stable():

@@ -30,7 +30,6 @@ from repro.gpu.engine import (
     emitter_mismatches,
     record_generators,
     record_launch,
-    use_engine,
 )
 from repro.gpu.kernel import _select_blocks, launch_kernel
 from repro.gpu.memory import DeviceArray, GlobalMemory
@@ -246,9 +245,7 @@ def test_check_emitters_runs_on_cache_hits(tmp_path, monkeypatch):
             for _ in range(2):
                 with check_emitters() as found:
                     args = copy_args(launch["args"])
-                    launch_kernel(
-                        SIM_V100, _green_thread, **{**launch, "args": args}, engine="vectorized"
-                    )
+                    launch_kernel(SIM_V100, _green_thread, **{**launch, "args": args})
                 assert found == [("_green_thread", ["locations"])]
         assert cache.stats.hits == 1  # the second launch never recorded
     finally:
@@ -260,9 +257,8 @@ def test_record_span_says_whether_the_trace_was_emitted(monkeypatch):
     buf = BufferSink()
     old = set_tracer(Tracer([buf]))
     try:
-        with use_engine("vectorized"):
-            Green().profile(fixture_csr("clique-12"), device=SIM_V100)
-            Polak().profile(fixture_csr("clique-12"), device=SIM_V100)
+        Green().profile(fixture_csr("clique-12"), device=SIM_V100)
+        Polak().profile(fixture_csr("clique-12"), device=SIM_V100)
     finally:
         set_tracer(old)
     emitted = {

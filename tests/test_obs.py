@@ -2,17 +2,20 @@
 
 The load-bearing assertion is *conservation*: per-source-line counters
 summed over the hotspot table must equal the launch totals the golden
-tests pin — under both simulator engines and on warm trace-cache hits.
+tests pin — on record/replay, on its event oracle, and on warm
+trace-cache hits.
 If attribution ever drifts from the metrics, the profiler is lying.
 """
 
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
 from repro.framework.cli import main
 from repro.framework.parallel import run_cells
+from repro.gpu.engine import event_oracle
 from repro.gpu.metrics import ProfileMetrics
 from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
 from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
@@ -28,6 +31,10 @@ from repro.obs.tracer import (
 )
 
 ENGINES = ("vectorized", "event")
+
+
+def _engine_scope(engine):
+    return event_oracle() if engine == "event" else nullcontext()
 
 
 @pytest.fixture
@@ -168,7 +175,8 @@ class TestMetricsSnapshot:
 @pytest.mark.parametrize("engine", ENGINES)
 class TestConservation:
     def test_line_sums_equal_metric_totals(self, engine):
-        session = profile_run("Polak", "As-Caida", engine=engine, max_blocks_simulated=4)
+        with _engine_scope(engine):
+            session = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
         rec, col = session.record, session.collector
         assert rec.ok
         assert col.launches >= 1
@@ -184,8 +192,9 @@ class TestConservation:
             assert set(values) == set(LINE_FIELDS)
 
     def test_warm_cache_hit_preserves_attribution(self, engine):
-        cold = profile_run("Polak", "As-Caida", engine=engine, max_blocks_simulated=4)
-        warm = profile_run("Polak", "As-Caida", engine=engine, max_blocks_simulated=4)
+        with _engine_scope(engine):
+            cold = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
+            warm = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
         assert warm.collector.lines == cold.collector.lines
         if engine == "vectorized":
             # Launch capture (for the timeline) needs recorded traces,
@@ -195,8 +204,9 @@ class TestConservation:
 
 
 def test_engines_attribute_identically():
-    vec = profile_run("Polak", "As-Caida", engine="vectorized", max_blocks_simulated=4)
-    evt = profile_run("Polak", "As-Caida", engine="event", max_blocks_simulated=4)
+    vec = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
+    with event_oracle():
+        evt = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
     assert set(vec.collector.lines) == set(evt.collector.lines)
     for loc, values in vec.collector.lines.items():
         for field in LINE_FIELDS:
@@ -209,13 +219,8 @@ def test_engines_attribute_identically():
 
 
 class TestTimeline:
-    # Timeline construction needs captured launch traces, which only the
-    # vectorized engine records — pin it so the test holds under
-    # REPRO_SIM_ENGINE=event too.
     def test_build_and_validate_trace(self, tmp_path):
-        session = profile_run(
-            "Polak", "As-Caida", engine="vectorized", max_blocks_simulated=4
-        )
+        session = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
         timeline = build_timeline(session.launches)
         assert timeline.sm_count >= 1
         assert timeline.slices
@@ -228,9 +233,7 @@ class TestTimeline:
         assert validate_trace(json.loads(path.read_text())) == []
 
     def test_phases_nest_inside_block_slice(self):
-        session = profile_run(
-            "Bisson", "As-Caida", engine="vectorized", max_blocks_simulated=4
-        )
+        session = profile_run("Bisson", "As-Caida", max_blocks_simulated=4)
         timeline = build_timeline(session.launches)
         for s in timeline.slices:
             end = s.start_us + s.dur_us
@@ -278,10 +281,8 @@ class TestForwarding:
 class TestProfileCli:
     def test_profile_command(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
-        # --engine vectorized: the trace export needs recorded launches,
-        # so the test must not inherit REPRO_SIM_ENGINE=event from CI.
         code = main([
-            "--blocks", "4", "--engine", "vectorized",
+            "--blocks", "4",
             "profile", "Polak", "As-Caida",
             "--top", "5", "--export-trace", str(trace_path),
         ])
@@ -294,18 +295,6 @@ class TestProfileCli:
         trace = json.loads(trace_path.read_text())
         assert validate_trace(trace) == []
         assert any(e.get("ph") == "X" for e in trace["traceEvents"])
-
-    def test_export_skipped_without_launches(self, capsys, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        code = main([
-            "--blocks", "4", "--engine", "event",
-            "profile", "Polak", "As-Caida", "--export-trace", str(trace_path),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "==PROF==" in out  # the report itself works on both engines
-        assert "skipping trace export" in out
-        assert not trace_path.exists()
 
     def test_profile_unknown_dataset_fails_cleanly(self, capsys):
         with pytest.raises(KeyError):

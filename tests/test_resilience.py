@@ -11,6 +11,7 @@ Covers the acceptance paths of the resilient matrix executor:
 * a corrupted cache bundle reads as a miss and is regenerated.
 """
 
+import json
 import os
 
 import numpy as np
@@ -389,6 +390,24 @@ class TestResume:
         run_matrix(ALGS, (DS,), max_blocks_simulated=4, run_id=rid)
         with pytest.raises(ValueError, match="mismatch"):
             run_matrix(ALGS, (DS,), max_blocks_simulated=8, resume=rid)
+
+    @pytest.mark.parametrize("stored", [None, "", "event"])
+    def test_resume_of_journal_that_pinned_an_engine(self, tmp_cache, stored):
+        """Journals from before the engine stopped being a run option pin
+        ``engine`` in meta.json; resuming one must still equal an
+        uninterrupted run."""
+        baseline = run_matrix(ALGS, (DS,), max_blocks_simulated=4)
+        rid = f"engine-meta-{stored}"
+        run_matrix(ALGS, (DS,), max_blocks_simulated=4, run_id=rid)
+        journal = RunJournal(rid)
+        meta = json.loads(journal.meta_path.read_text())
+        journal.meta_path.write_text(json.dumps({**meta, "engine": stored}))
+        # interrupted after the first cell
+        first = journal.path.read_text().splitlines()[0]
+        journal.path.write_text(first + "\n")
+        resumed = run_matrix(ALGS, (DS,), max_blocks_simulated=4, resume=rid)
+        assert resumed.records == baseline.records
+        assert len(journal.load()) == len(ALGS)
 
     def test_conflicting_ids_rejected(self, tmp_cache):
         with pytest.raises(ValueError, match="run_id or resume"):

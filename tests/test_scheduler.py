@@ -212,15 +212,16 @@ class TestScheduling:
         assert record.extra["shed_blocks"] == 4
 
     def test_override_blocks_and_engine(self, stub_executor):
-        sched = JobScheduler(workers=1, max_blocks_simulated=16, engine=None)
+        sched = JobScheduler(workers=1, max_blocks_simulated=16)
         try:
+            # An ``engine`` override (pre-schema-2 request docs) is ignored.
             job = CellJob("A", "D", overrides={"blocks": 2, "engine": "event"})
             sched.submit(job).result(timeout=5.0)
         finally:
             sched.shutdown(wait=False)
         (call,) = stub_executor.calls
         assert call["max_blocks_simulated"] == 2
-        assert call["engine"] == "event"
+        assert "engine" not in call
 
     def test_submit_after_shutdown_raises(self, stub_executor):
         sched = JobScheduler(workers=1)

@@ -117,6 +117,26 @@ class TestHappyPath:
             with ServeClient(port=server.port) as other:
                 assert other.wait(receipt.job_id)["record"]["status"] == "ok"
 
+    def test_engine_field_is_ignored(self, server_factory):
+        """Schema 2 dropped ``engine``; a client still sending it is served
+        exactly like one that does not."""
+        server = server_factory()
+        with ServeClient(port=server.port) as client:
+            plain = client.submit(ALG, DS, blocks=4, stream=False).result(timeout=60.0)
+            response = client._request({
+                "op": "submit", "algorithm": ALG, "dataset": DS, "blocks": 4,
+                "stream": False, "engine": "event",
+            })
+            assert response["type"] == "accepted"
+            legacy = client.wait(response["job"])
+        assert legacy["type"] == "result"
+        assert legacy["record"]["status"] == "ok"
+        cell = ("triangles", "sim_time_s", "global_load_requests",
+                "warp_execution_efficiency", "gld_transactions_per_request")
+        assert {k: legacy["record"][k] for k in cell} == {
+            k: plain["record"][k] for k in cell
+        }
+
     def test_wait_on_running_job_blocks_until_terminal(self, server_factory):
         # Regression: wait on a NOT-yet-terminal job must deliver the
         # terminal frame tagged with the wait request's tag — an untagged
@@ -404,12 +424,20 @@ class TestLifecycle:
             "deadline_s": None, "ordering": "degree", "engine": None,
             "validate": False, "client": "ghost", "tag": "",
         })
+        # A schema-1 request doc that asked for the event engine: the
+        # field is ignored, and the job still terminals exactly once.
+        journal.accepted("replay-live-000002", {
+            "algorithm": ALG, "dataset": DS, "blocks": 2, "priority": 0,
+            "deadline_s": None, "ordering": "degree", "engine": "event",
+            "validate": False, "client": "ghost", "tag": "",
+        })
         server = server_factory(server_id="replay-live")
-        assert server.counters.get("journal_replayed_jobs") == 1
+        assert server.counters.get("journal_replayed_jobs") == 2
         _poll(lambda: not server.journal.pending(), timeout=60.0,
-              what="replayed job to reach a terminal state")
+              what="replayed jobs to reach a terminal state")
         _, terminals = server.journal.load()
-        assert terminals["replay-live-000001"][0]["status"] == "ok"
+        for job in ("replay-live-000001", "replay-live-000002"):
+            assert [t["status"] for t in terminals[job]] == ["ok"]
 
     def test_connect_during_drain_is_refused_without_wedging(self, server_factory):
         # Regression: the accept loop used to send+close the refused

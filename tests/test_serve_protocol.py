@@ -191,7 +191,7 @@ class TestParseSubmit:
             client="c1", tag="t9",
         ))
         assert (req.blocks, req.priority, req.deadline_s) == (8, 3, 1.5)
-        assert (req.ordering, req.engine) == ("id", "event")
+        assert req.ordering == "id"
         assert (req.validate, req.stream) == (True, False)
         assert (req.client, req.tag) == ("c1", "t9")
 
@@ -211,7 +211,6 @@ class TestParseSubmit:
             {"deadline_s": -3},
             {"deadline_s": "soon"},
             {"ordering": "random"},
-            {"engine": "cuda"},
             {"validate": "yes"},
             {"stream": 1},
         ],

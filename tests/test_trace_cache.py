@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import get_algorithm
-from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel, use_engine
+from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel
 from repro.gpu.device import SIM_RTX_4090, SIM_V100
 from repro.gpu.intrinsics import atomic_add_global, ld_global
 from repro.gpu.trace import (
@@ -30,7 +30,6 @@ def isolated_cache(tmp_path, monkeypatch):
     """Fresh in-memory cache + private disk root for every test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     cache = reset_trace_cache()
     yield cache
     reset_trace_cache()
@@ -44,22 +43,21 @@ def _sum_kernel(ctx, n, data, out):
     yield atomic_add_global(out, 0, v, "acc")
 
 
-def _launch_sum(device=SIM_V100, n=100, seed=3, engine="vectorized", blocks=None):
+def _launch_sum(device=SIM_V100, n=100, seed=3, blocks=None):
     gm = GlobalMemory(device)
     rng = np.random.default_rng(seed)
     host = rng.integers(0, 50, size=n, dtype=np.int64)
     data = gm.alloc("data", host)
     out = gm.zeros("out", 1)
-    with use_engine(engine):
-        launch_kernel(
-            device,
-            _sum_kernel,
-            grid_dim=-(-n // 64),
-            block_dim=64,
-            args=(n, data, out),
-            metrics=ProfileMetrics(warp_size=device.warp_size),
-            max_blocks_simulated=blocks,
-        )
+    launch_kernel(
+        device,
+        _sum_kernel,
+        grid_dim=-(-n // 64),
+        block_dim=64,
+        args=(n, data, out),
+        metrics=ProfileMetrics(warp_size=device.warp_size),
+        max_blocks_simulated=blocks,
+    )
     return int(host.sum()), int(out.data[0])
 
 
@@ -98,10 +96,9 @@ def test_cross_device_replay_reuses_trace(isolated_cache):
     """Device geometry is replay-time: a second device hits the same trace."""
     csr = fixture_csr("wheel-24")
     alg = get_algorithm("Polak")
-    with use_engine("vectorized"):
-        r1 = alg.profile(csr, device=SIM_V100, max_blocks_simulated=4)
-        stores_after_first = isolated_cache.stats.stores
-        r2 = alg.profile(csr, device=SIM_RTX_4090, max_blocks_simulated=4)
+    r1 = alg.profile(csr, device=SIM_V100, max_blocks_simulated=4)
+    stores_after_first = isolated_cache.stats.stores
+    r2 = alg.profile(csr, device=SIM_RTX_4090, max_blocks_simulated=4)
     assert stores_after_first > 0
     assert isolated_cache.stats.stores == stores_after_first
     assert isolated_cache.stats.hits > 0
@@ -122,12 +119,11 @@ def test_closure_program_is_uncacheable(isolated_cache):
         gm = GlobalMemory(SIM_V100)
         data = gm.alloc("data", np.arange(10, dtype=np.int64))
         out = gm.zeros("out", 1)
-        with use_engine("vectorized"):
-            launch_kernel(
-                SIM_V100, closure_kernel, grid_dim=1, block_dim=32,
-                args=(10, data, out),
-                metrics=ProfileMetrics(),
-            )
+        launch_kernel(
+            SIM_V100, closure_kernel, grid_dim=1, block_dim=32,
+            args=(10, data, out),
+            metrics=ProfileMetrics(),
+        )
         return int(out.data[0])
 
     assert run() == int(np.arange(10).sum()) + 10 * bias

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel, use_engine
+from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel
 from repro.gpu.device import SIM_V100
 from repro.gpu.intrinsics import atomic_add_global, ld_global
 from repro.gpu.trace import reset_trace_cache
@@ -23,7 +23,6 @@ from repro.gpu.tracestore import MAGIC, TraceStore, get_trace_store, reset_trace
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
     reset_trace_store()
     cache = reset_trace_cache()
     yield cache
@@ -45,15 +44,14 @@ def _launch(n=64, seed=5):
     host = rng.integers(0, 50, size=n, dtype=np.int64)
     data = gm.alloc("data", host)
     out = gm.zeros("out", 1)
-    with use_engine("vectorized"):
-        launch_kernel(
-            SIM_V100,
-            _sum_kernel,
-            grid_dim=-(-n // 32),
-            block_dim=32,
-            args=(n, data, out),
-            metrics=ProfileMetrics(warp_size=SIM_V100.warp_size),
-        )
+    launch_kernel(
+        SIM_V100,
+        _sum_kernel,
+        grid_dim=-(-n // 32),
+        block_dim=32,
+        args=(n, data, out),
+        metrics=ProfileMetrics(warp_size=SIM_V100.warp_size),
+    )
     return int(host.sum()), int(out.data[0])
 
 

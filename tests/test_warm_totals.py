@@ -18,9 +18,8 @@ import sys
 import pytest
 
 from repro.algorithms.base import all_algorithms, get_algorithm
-from repro.gpu import use_engine
 from repro.gpu.device import SIM_RTX_4090, SIM_V100
-from repro.gpu.engine import stage_times
+from repro.gpu.engine import event_oracle, stage_times
 from repro.gpu.metrics import SECTOR_BYTES
 from repro.gpu.trace import REPLAY_FIELDS, get_trace_cache, reset_trace_cache
 from repro.gpu.tracestore import get_trace_store, reset_trace_store
@@ -37,7 +36,7 @@ BLOCKS = 4
 def isolated(tmp_path, monkeypatch):
     """Private cache root, fresh trace cache and an enabled registry."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_TRACE_CACHE", "REPRO_SIM_ENGINE", "REPRO_DISK_CACHE"):
+    for var in ("REPRO_TRACE_CACHE", "REPRO_DISK_CACHE"):
         monkeypatch.delenv(var, raising=False)
     reset_trace_store()
     reset_trace_cache()
@@ -49,11 +48,10 @@ def isolated(tmp_path, monkeypatch):
     reset_trace_store()
 
 
-def _profile(name, device=SIM_V100, engine="vectorized"):
-    with use_engine(engine):
-        result = get_algorithm(name).profile(
-            fixture_csr(FIXTURE), device=device, max_blocks_simulated=BLOCKS
-        )
+def _profile(name, device=SIM_V100):
+    result = get_algorithm(name).profile(
+        fixture_csr(FIXTURE), device=device, max_blocks_simulated=BLOCKS
+    )
     return result.triangles, result.metrics.as_dict()
 
 
@@ -78,7 +76,7 @@ def _rewrite_stored(edit):
 _WARM_SCRIPT = """
 import json, sys
 from repro.algorithms.base import get_algorithm
-from repro.gpu import engine, use_engine
+from repro.gpu import engine
 from repro.gpu.device import SIM_V100
 from repro.gpu.trace import get_trace_cache
 from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -94,12 +92,11 @@ registry = MetricsRegistry(enabled=True)
 set_metrics(registry)
 names, fixture, blocks = json.loads(sys.argv[1])
 out = {}
-with use_engine("vectorized"):
-    for name in names:
-        r = get_algorithm(name).profile(
-            fixture_csr(fixture), device=SIM_V100, max_blocks_simulated=blocks
-        )
-        out[name] = [r.triangles, r.metrics.as_dict()]
+for name in names:
+    r = get_algorithm(name).profile(
+        fixture_csr(fixture), device=SIM_V100, max_blocks_simulated=blocks
+    )
+    out[name] = [r.triangles, r.metrics.as_dict()]
 cache = get_trace_cache()
 json.dump({
     "results": out,
@@ -155,7 +152,9 @@ def test_new_geometry_decodes_replays_and_matches_event_engine(isolated):
     cache = reset_trace_cache()  # fresh process: only the store remains
     before = stage_times()["replay_s"]
     for name in ALGORITHMS:
-        assert _profile(name, SIM_RTX_4090) == _profile(name, SIM_RTX_4090, "event")
+        warm = _profile(name, SIM_RTX_4090)
+        with event_oracle():
+            assert warm == _profile(name, SIM_RTX_4090)
     assert cache.stats.disk_hits > 0
     assert cache.stats.stores == 0  # nothing re-recorded
     assert isolated.get("trace_totals_hits") == 0
@@ -167,9 +166,9 @@ def test_new_geometry_decodes_replays_and_matches_event_engine(isolated):
 def test_profile_on_totals_hit_conserves_line_sums(isolated):
     from repro.obs.session import profile_run
 
-    cold = profile_run("Polak", "As-Caida", engine="vectorized", max_blocks_simulated=BLOCKS)
+    cold = profile_run("Polak", "As-Caida", max_blocks_simulated=BLOCKS)
     reset_trace_cache()  # fresh process: launches come from the store
-    warm = profile_run("Polak", "As-Caida", engine="vectorized", max_blocks_simulated=BLOCKS)
+    warm = profile_run("Polak", "As-Caida", max_blocks_simulated=BLOCKS)
     assert isolated.get("trace_totals_hits") > 0
     rec, col = warm.record, warm.collector
     assert rec.ok

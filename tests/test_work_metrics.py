@@ -238,25 +238,24 @@ def test_metric_invariant_under_engine_and_batching(tmp_path, monkeypatch):
     (which only change *how* counters are reduced) cannot move it."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     from repro.gpu.device import get_device
-    from repro.gpu.engine import replay_launch_batch, use_engine
+    from repro.gpu.engine import event_oracle, replay_launch_batch
     from repro.gpu.trace import get_trace_cache, reset_trace_cache
     from repro.verify.fixtures import GOLDEN_DEVICES
 
     csr = fixture_csr("star-cliques")
     baseline = {a: work_efficiency(csr, a) for a in ALGORITHMS}
     reset_trace_cache()
-    with use_engine("event"):
+    with event_oracle():
         assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
-    with use_engine("vectorized"):
-        assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
-        # Populate the cache and replay everything batched: still identical.
-        from repro.algorithms.base import get_algorithm
+    assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
+    # Populate the cache and replay everything batched: still identical.
+    from repro.algorithms.base import get_algorithm
 
-        device = get_device(GOLDEN_DEVICES[0])
-        get_algorithm("Polak").profile(csr, device=device, max_blocks_simulated=4)
-        traces = list(get_trace_cache()._entries.values())
-        assert traces
-        replay_launch_batch(traces, device)
+    device = get_device(GOLDEN_DEVICES[0])
+    get_algorithm("Polak").profile(csr, device=device, max_blocks_simulated=4)
+    traces = list(get_trace_cache()._entries.values())
+    assert traces
+    replay_launch_batch(traces, device)
     assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
     reset_trace_cache()
 
@@ -264,11 +263,11 @@ def test_metric_invariant_under_engine_and_batching(tmp_path, monkeypatch):
 def test_run_one_records_work_metrics(tmp_path, monkeypatch):
     """run_one attaches comparisons/work_ratio, identically per engine."""
     from repro.framework.runner import run_one
+    from repro.gpu.engine import event_oracle
 
-    recs = {
-        engine: run_one("Polak", "As-Caida", engine=engine)
-        for engine in ("event", "vectorized")
-    }
+    with event_oracle():
+        event = run_one("Polak", "As-Caida")
+    recs = {"event": event, "vectorized": run_one("Polak", "As-Caida")}
     for rec in recs.values():
         assert rec.status == "ok"
         assert rec.comparisons and rec.comparisons > 0
