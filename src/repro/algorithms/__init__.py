@@ -26,9 +26,11 @@ from .green import Green
 from . import green_emit  # noqa: F401  (registers Green's array emitter)
 from .grouptc import GroupTC
 from .hindex import HIndex
+from . import hindex_emit  # noqa: F401  (registers H-INDEX's array emitter)
 from .hu import Hu
 from .polak import Polak
 from .tricore import TriCore
+from . import tricore_emit  # noqa: F401  (registers TriCore's array emitters)
 from .trust import TRUST
 
 __all__ = [

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -226,12 +227,17 @@ def dedupe_blocks(traces) -> tuple[list[BlockTrace], np.ndarray]:
 
     Returns ``(unique, instances)`` where ``instances[i]`` indexes the
     unique trace of the i-th simulated block, preserving block order.
+    Blocks of different row or payload counts cannot be identical, so only
+    blocks that share both counts with another block are hashed.
     """
+    shapes = Counter((t.ops.shape[0], t.payload.shape[0]) for t in traces)
     unique: list[BlockTrace] = []
-    index: dict[bytes, int] = {}
+    index: dict = {}
     instances = np.empty(len(traces), dtype=np.int64)
     for i, trace in enumerate(traces):
-        key = trace.digest
+        key = (trace.ops.shape[0], trace.payload.shape[0])
+        if shapes[key] > 1:
+            key = trace.digest
         at = index.get(key)
         if at is None:
             at = len(unique)
@@ -244,10 +250,11 @@ def dedupe_blocks(traces) -> tuple[list[BlockTrace], np.ndarray]:
 class LaunchTrace:
     """Everything replay needs for one launch, with blocks deduplicated.
 
-    ``writeback`` is the launch's functional effect: ``(arg position,
-    element index, final value)`` for every global array element the kernel
-    wrote, or ``None`` when those effects cannot be expressed through the
-    argument tuple (such a trace must not be served from the cache).
+    ``writeback`` is the launch's functional effect: an ``(n, 3)`` int64
+    array of ``(arg position, element index, final value)`` rows for every
+    global array element the kernel wrote, or ``None`` when those effects
+    cannot be expressed through the argument tuple (such a trace must not
+    be served from the cache).
 
     ``locations`` is the launch's interned source-location table: block
     rows carry small ids into it (``loc`` stream), entry 0 is the "no
@@ -269,7 +276,7 @@ class LaunchTrace:
         blocks: tuple[int, ...],
         unique: list[BlockTrace] | Callable[[], list[BlockTrace]],
         instances: np.ndarray,
-        writeback: tuple[tuple[int, int, int], ...] | None,
+        writeback: np.ndarray | None,
         locations: tuple[tuple[str, int], ...] = (("", 0),),
         *,
         block_nbytes: int | None = None,
@@ -308,7 +315,7 @@ class LaunchTrace:
 
     @property
     def nbytes(self) -> int:
-        wb = 0 if self.writeback is None else 24 * len(self.writeback)
+        wb = 0 if self.writeback is None else self.writeback.nbytes
         locs = sum(len(f) + 12 for f, _ in self.locations)
         return self._block_nbytes + self.instances.nbytes + wb + locs
 
@@ -443,7 +450,6 @@ def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
     cat = lambda parts, dtype: (
         np.concatenate([np.asarray(p) for p in parts]) if parts else empty.astype(dtype)
     )
-    wb = np.asarray(trace.writeback or (), dtype=np.int64).reshape(-1, 3)
     out = {
         "meta": np.array(
             [TRACE_SCHEMA, trace.grid_dim, trace.block_dim, trace.warp_size],
@@ -465,7 +471,7 @@ def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
         # the unicode array always has a well-defined dtype.
         "loc_files": np.asarray([f for f, _ in trace.locations]),
         "loc_lines": np.asarray([n for _, n in trace.locations], dtype=np.int64),
-        "writeback": wb,
+        "writeback": trace.writeback,
     }
     # Base replay memos, when every block trace has one (i.e. the launch
     # has been replayed at least once).  Persisting them lets a warm
@@ -562,9 +568,7 @@ def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
                     t._memo["base"] = (dict(zip(BASE_COUNTER_FIELDS, row)), st, g)
             return unique
 
-        writeback = tuple(
-            (int(p), int(i), int(v)) for p, i, v in arrays["writeback"].tolist()
-        )
+        writeback = np.asarray(arrays["writeback"], dtype=np.int64).reshape(-1, 3)
         locations = tuple(
             (str(f), int(n)) for f, n in zip(arrays["loc_files"], arrays["loc_lines"])
         )

@@ -127,11 +127,12 @@ def render_stats(frame: Mapping[str, Any]) -> str:
         if name.startswith("engine_") and name.endswith("_s")
     }
     emitted = counters.get("record_emitted_launches", 0)
-    if stage or emitted:
+    recorded = emitted + counters.get("record_generator_launches", 0)
+    if stage or recorded:
         lines.append(
             "  engine stages: "
             + " ".join(f"{k}={_fmt_s(v)}" for k, v in stage.items())
-            + f" emitted={int(emitted)}"
+            + f" emitted={int(emitted)}/{int(recorded)}"
         )
     work_hits = counters.get("work_store_hits", 0)
     work_total = work_hits + counters.get("work_store_misses", 0)

@@ -16,81 +16,35 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import green
-from repro.algorithms import Polak
+from repro.algorithms import Polak, green, polak
 from repro.algorithms.green import Green, _green_thread
-from repro.algorithms.green_emit import SITES, emit_green_launch, site_lines
+from repro.algorithms.green_emit import SITES, emit_green_launch
 from repro.graph import oriented_csr
 from repro.graph.datasets import load_oriented
 from repro.graph.edgelist import clean_edges
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100, get_device
-from repro.gpu.engine import (
-    check_emitters,
-    emitter_mismatches,
-    record_generators,
-    record_launch,
-)
-from repro.gpu.kernel import _select_blocks, launch_kernel
-from repro.gpu.memory import DeviceArray, GlobalMemory
-from repro.gpu.metrics import ProfileMetrics
+from repro.gpu.engine import check_emitters, emitter_mismatches, record_launch
+from repro.gpu.kernel import launch_kernel
 from repro.gpu.trace import reset_trace_cache
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.statsview import render_stats
 from repro.obs.tracer import BufferSink, Tracer, set_tracer
 from repro.verify.engines import engine_mismatches
 from repro.verify.fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, fixture_csr, fixture_names
-
-TRACE_FIELDS = ("ops", "nlanes", "aux", "npay", "payload", "loc")
+from tests import emit_checks
+from tests.emit_checks import algorithm_launches, copy_args
 
 
 def green_launch(csr, device, max_blocks=None, **config):
     """The ``launch_kernel`` arguments ``Green.launch`` passes for ``csr``."""
-    with mock.patch.object(green, "launch_kernel") as launch:
-        Green(**config).launch(
-            csr, GlobalMemory(device), device, ProfileMetrics(warp_size=device.warp_size),
-            max_blocks_simulated=max_blocks,
-        )
-    kw = launch.call_args.kwargs
-    return dict(
-        grid_dim=kw["grid_dim"],
-        block_dim=kw["block_dim"],
-        args=kw["args"],
-        shared_words=0,
-        blocks=_select_blocks(kw["grid_dim"], kw["max_blocks_simulated"]),
-    )
-
-
-def copy_args(args):
-    return tuple(
-        DeviceArray(a.name, a.data.copy(), a.itemsize, a.base)
-        if isinstance(a, DeviceArray) else a
-        for a in args
-    )
+    [(_, launch)] = algorithm_launches(green, Green, csr, device, max_blocks, **config)
+    return launch
 
 
 def assert_identical(device, launch):
     """Emit and generator-record ``launch`` on copies; every field agrees."""
-    rest = {k: v for k, v in launch.items() if k != "args"}
-    ref_args, got_args = copy_args(launch["args"]), copy_args(launch["args"])
-    ref = record_generators(device, _green_thread, args=ref_args, **rest)
-    got = emit_green_launch(device, _green_thread, args=got_args, **rest)
-    assert (got.grid_dim, got.block_dim, got.warp_size) == (
-        ref.grid_dim, ref.block_dim, ref.warp_size,
-    )
-    assert got.blocks == ref.blocks
-    assert [t.digest for t in got.unique] == [t.digest for t in ref.unique]
-    for a, b in zip(got.unique, ref.unique):
-        assert [getattr(a, f).dtype for f in TRACE_FIELDS] == [
-            getattr(b, f).dtype for f in TRACE_FIELDS
-        ]
-    assert got.instances.tolist() == ref.instances.tolist()
-    assert got.writeback == ref.writeback
-    assert got.locations == ref.locations
-    for a, b in zip(ref_args, got_args):
-        if isinstance(a, DeviceArray):
-            np.testing.assert_array_equal(b.data, a.data)
-    return got
+    return emit_checks.assert_identical(device, _green_thread, launch)
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +111,7 @@ def test_warps_starting_past_the_last_edge(edges, grid_divisor, block_dim):
 def test_empty_graph():
     csr = oriented_csr(np.empty((0, 2), dtype=np.int64))
     trace = assert_identical(SIM_V100, green_launch(csr, SIM_V100))
-    assert trace.writeback == ((5, 0, 0),)
+    assert trace.writeback.tolist() == [[5, 0, 0]]
 
 
 @st.composite
@@ -190,8 +144,8 @@ def test_random_graphs(csr, block_dim, grid_divisor, max_blocks):
 
 
 def test_site_lines_name_the_kernel_yields():
-    lines = site_lines(_green_thread.__code__)
-    for (op, tag), (path, line) in zip(SITES, lines):
+    assert len(SITES.lines) == len(SITES.keys) == 11
+    for (op, tag), (path, line) in zip(SITES.keys, SITES.lines):
         assert path == _green_thread.__code__.co_filename
         assert f'("{op}", "{tag}"' in linecache.getline(path, line)
 
@@ -271,10 +225,25 @@ def test_record_span_says_whether_the_trace_was_emitted(monkeypatch):
 
 
 def test_stats_engine_line_shows_emitted_launches():
+    """``emitted=N/M``: N launches recorded by emitters out of M recorded."""
     registry = MetricsRegistry(enabled=True)
     registry.inc("engine_record_s", 0.25)
     registry.inc("record_emitted_launches", 3)
+    registry.inc("record_generator_launches", 2)
     line = next(
         ln for ln in render_stats(registry.snapshot()).splitlines() if "engine stages" in ln
     )
-    assert "record=" in line and line.endswith("emitted=3")
+    assert "record=" in line and line.endswith("emitted=3/5")
+
+
+def test_record_launch_counts_generator_launches():
+    registry = MetricsRegistry(enabled=True)
+    old = set_metrics(registry)
+    try:
+        [(_, launch)] = algorithm_launches(polak, Polak, fixture_csr("clique-12"), SIM_V100)
+        record_launch(SIM_V100, polak._polak_thread, **launch)
+    finally:
+        set_metrics(old)
+    counters = registry.snapshot()["counters"]
+    assert counters["record_generator_launches"] == 1
+    assert "record_emitted_launches" not in counters

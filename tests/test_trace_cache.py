@@ -185,10 +185,42 @@ def test_trace_serialisation_roundtrip():
     )
     restored = _trace_from_arrays(_trace_to_arrays(trace))
     assert restored is not None
-    assert restored.writeback == trace.writeback
+    np.testing.assert_array_equal(restored.writeback, trace.writeback)
     assert replay_launch(restored, SIM_V100).as_dict() == replay_launch(
         trace, SIM_V100
     ).as_dict()
+
+
+def test_writeback_of_a_trace_stored_before_array_logs():
+    """A trace file written while the writeback log was a tuple of tuples
+    (TriCore's streaming stage over 5 edges) still loads, and its
+    ``(n, 3)`` log reproduces the launch on fresh buffers."""
+    from pathlib import Path
+
+    from repro.algorithms.tricore import _stream_thread
+    from repro.gpu.engine import apply_writeback, record_launch
+    from repro.gpu.tracestore import TraceStore
+
+    store = TraceStore(Path(__file__).parent / "data" / "traces")
+    trace = _trace_from_arrays(store.load("tricore-stream-5-edges"))
+    assert trace.writeback.shape == (10, 3) and trace.writeback.dtype == np.int64
+
+    def stream_args():
+        gm = GlobalMemory(SIM_V100)
+        raw_u = gm.alloc("raw_u", np.array([0, 0, 1, 2, 3], dtype=np.int64))
+        raw_v = gm.alloc("raw_v", np.array([1, 2, 2, 3, 4], dtype=np.int64))
+        return (5, raw_u, raw_v, gm.zeros("stream_u", 5), gm.zeros("stream_v", 5))
+
+    args = stream_args()
+    apply_writeback(trace, args)
+    np.testing.assert_array_equal(args[3].data, args[1].data)
+    np.testing.assert_array_equal(args[4].data, args[2].data)
+    recorded = record_launch(
+        SIM_V100, _stream_thread, grid_dim=1, block_dim=32, args=stream_args(),
+        shared_words=0, blocks=np.arange(1),
+    )
+    np.testing.assert_array_equal(recorded.writeback, trace.writeback)
+    assert [t.digest for t in recorded.unique] == [t.digest for t in trace.unique]
 
 
 def test_memory_budget_evicts_lru():
