@@ -32,6 +32,7 @@ from .polak import Polak
 from .tricore import TriCore
 from . import tricore_emit  # noqa: F401  (registers TriCore's array emitters)
 from .trust import TRUST
+from . import trust_emit  # noqa: F401  (registers TRUST's array emitters)
 
 __all__ = [
     "Bisson",

@@ -16,30 +16,43 @@ live warp:
 
 * the ``(op, tag)`` site holding the most of the warp's runnable lanes
   issues; a tie goes to the site whose lowest lane is lowest (the first
-  key the scheduler's ascending lane scan inserts);
+  key the scheduler's ascending lane scan inserts).  A ``("bc", ...)``
+  exchange issues only when no other site has runnable lanes;
 * a lane that reaches ``("w",)`` parks.  A warp with no runnable lane
   left releases its parked lanes in one ``OP_WSYNC`` row: ``nlanes`` is
   the number parked, and its line is the lowest parked lane's;
+* a lane that reaches ``("y",)`` (``__syncthreads``) parks until every
+  warp of its block has parked there or retired.  The block then emits
+  one ``OP_SYNC_EVENT`` row per parked warp and enters its next *phase*;
 * the winning lanes run their state machine to the next yield, and the
   warp emits one row whose payload lists, in ascending lane order, the
   32-byte sector of a global load or store, the byte address of a global
   atomic, or the word index of a shared access
   (:meth:`repro.gpu.engine.RecordingWarp._issue`).
 
-Shared memory is a real word array per sampled block, so shared loads
-read what the emitted stores wrote, and a shared atomic add returns the
-word's previous value plus the deltas of the lower lanes of its group
-that hit the same word.  Global stores and atomics write the launch's
-argument arrays and are logged for the writeback.
+Rows are put in record order at the end: block by block, phase by phase,
+warp by warp (as :func:`repro.gpu.engine._record_blocks` runs them), and
+each warp's rows in issue order.
+
+Shared memory is a real word array per sampled block, which all of its
+warps share, so shared loads read what the emitted stores wrote, and a
+shared atomic add returns the word's previous value plus the deltas of
+the lower lanes (of lower warps first) that hit the same word in the
+same iteration.  Global stores and atomics write the launch's argument
+arrays and are logged for the writeback; a global pool that several
+sub-groups reuse is a :class:`Workspace`.
 
 The kit is exact under three conditions, which a kernel must meet before
-it gets an emitter: its op stream is a pure function of its inputs, its
-shared memory and stored global elements are private to one warp, and it
-never calls ``__syncthreads``.  Generator recording runs warps one after
-another; the kit runs them side by side, and the two orders agree only
-when no warp can see another's effects.  Generator recording stays the
-reference: the tests and ``repro.verify engines`` record both ways and
-diff the traces.
+it gets an emitter: its op stream is a pure function of its inputs; the
+global elements it stores are private to one warp (or kept in a
+:class:`Workspace`); and within each barrier phase no warp reads, or
+updates atomically more than once, a shared word that another warp of
+its block writes -- unless the kernel lists that phase in
+:attr:`Lanes.ORDERED`, where a block's warps run one after another.
+Generator recording runs warps one after another; the kit runs them side
+by side, and the two orders agree only when no warp can see another's
+effects.  Generator recording stays the reference: the tests and
+``repro.verify engines`` record both ways and diff the traces.
 """
 
 from __future__ import annotations
@@ -54,22 +67,31 @@ from .engine import _writeback_log
 from .memory import DeviceArray
 from .metrics import SECTOR_BYTES
 from .trace import (
+    OP_ALU,
     OP_GLOBAL_ATOMIC,
     OP_GLOBAL_LOAD,
     OP_GLOBAL_STORE,
     OP_SHARED_ATOMIC,
     OP_SHARED_LOAD,
     OP_SHARED_STORE,
+    OP_SYNC_EVENT,
     OP_WSYNC,
     BlockTrace,
     LaunchTrace,
     dedupe_blocks,
 )
 
-__all__ = ["EdgeLanes", "Lanes", "Sites", "emitter", "sectors", "yield_sites"]
+__all__ = [
+    "BARRIER", "VARIABLE", "WSYNC", "EdgeLanes", "Lanes", "Sites", "Workspace",
+    "emitter", "sectors", "yield_sites",
+]
 
 #: A ``__syncwarp()`` yield.
 WSYNC = ("w",)
+#: A ``__syncthreads()`` yield.
+BARRIER = ("y",)
+#: The key of a yield whose tuple is a variable (``yield sync``).
+VARIABLE = ()
 
 _OPCODES = {
     "g": OP_GLOBAL_LOAD,
@@ -78,65 +100,106 @@ _OPCODES = {
     "s": OP_SHARED_LOAD,
     "ss": OP_SHARED_STORE,
     "sa": OP_SHARED_ATOMIC,
+    "bc": OP_ALU,
     "w": OP_WSYNC,
+    "y": OP_SYNC_EVENT,
 }
+
+# A row's record-order key: its block's slot, the block's phase, whether
+# it is a barrier row, and its warp in the block, high bits to low.
+_BLOCK_SHIFT = 40
+_PHASE_SHIFT = 17
+_SYNC_ROW = 1 << 16
 
 
 def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
     """Every yield of ``code`` in bytecode order, as ``(key, (file, line))``.
 
     ``key`` is the yielded tuple's ``(op, tag)``: the first two string
-    constants loaded since the previous yield, or a folded tuple constant
-    such as ``("w",)``.  The line is the one a generator suspended at that
-    yield reports as ``f_lineno``.
+    constants loaded since the previous yield, or the head of a folded
+    tuple constant such as ``("w",)``, or :data:`VARIABLE` for a yielded
+    variable.  The line is the one a generator suspended at that yield
+    reports as ``f_lineno``.
     """
     out = []
-    consts: list = []
+    strs: list[str] = []
+    prev = None
     for ins in dis.get_instructions(code):
-        if ins.opname == "LOAD_CONST" and isinstance(ins.argval, (str, tuple)):
-            consts.append(ins.argval)
-        elif ins.opname == "YIELD_VALUE":
-            if consts and isinstance(consts[0], tuple):
-                key = consts[0]
+        if ins.opname == "YIELD_VALUE":
+            if prev.opname == "LOAD_CONST" and isinstance(prev.argval, tuple):
+                key = prev.argval[:2]
+            elif prev.opname == "BUILD_TUPLE":
+                key = tuple(strs[:2])
             else:
-                key = tuple(c for c in consts if isinstance(c, str))[:2]
+                key = VARIABLE
             line = next(n for a, b, n in code.co_lines() if a <= ins.offset < b)
             out.append((key, (code.co_filename, line)))
-            consts = []
+            strs = []
+        elif ins.opname == "LOAD_CONST" and isinstance(ins.argval, str):
+            strs.append(ins.argval)
+        if ins.opname != "CACHE":
+            prev = ins
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_sites(program) -> tuple:
+    return tuple(yield_sites(program.__code__))
 
 
 class Sites:
     """A kernel's yield sites in source order; a site's id is its position.
 
     Sites are named by position, not by ``(op, tag)``: every ``("w",)``
-    yield has the same key but its own line.  The declared keys are
-    checked against the kernel's bytecode when the lines are first read
-    (on the first emitted launch), so an edited kernel fails instead of
-    emitting a trace with stale lines.
+    yield has the same key but its own line.  ``keys`` are the keys
+    :func:`yield_sites` reads; ``var`` resolves a :data:`VARIABLE` yield
+    for a launch (:data:`WSYNC` or :data:`BARRIER`), and ``skip`` names
+    sites a launch never reaches, such as another branch's copy of a
+    site.  Two reached sites may not share a key: the scheduler groups
+    lanes by key.  The declared keys are checked against the kernel's
+    bytecode when the lines are first read (on the first emitted launch),
+    so an edited kernel fails instead of emitting a trace with stale
+    lines.
+
+    Site ``done`` (one past the last) is a retired lane, and also names
+    the barrier rows a block emits when it passes a ``("y",)``.
     """
 
-    def __init__(self, program, *keys: tuple):
-        issued = [k for k in keys if k != WSYNC]
-        if len(set(issued)) != len(issued) or any(k[0] not in _OPCODES for k in keys):
-            raise RuntimeError(f"{program.__qualname__}: sites must be unique and supported")
+    def __init__(self, program, *keys: tuple, var: tuple | None = None, skip=()):
         self.program = program
+        self.declared = keys
+        keys = tuple(var if k == VARIABLE else k for k in keys)
+        parks = [k in (WSYNC, BARRIER) for k in keys]
+        reached = [k for i, (k, p) in enumerate(zip(keys, parks)) if not p and i not in skip]
+        if (
+            None in keys
+            or len(set(reached)) != len(reached)
+            or any(k[0] not in _OPCODES for k in keys)
+        ):
+            raise RuntimeError(f"{program.__qualname__}: sites must be unique and supported")
         self.keys = keys
-        #: retired lane; ``ns`` site values in all
         self.done = len(keys)
         self.ns = len(keys) + 1
-        self.opcode = np.array([_OPCODES[k[0]] for k in keys] + [0], dtype=np.uint8)
-        self.parks = np.array([k == WSYNC for k in keys] + [False])
-        self.park_ids = np.flatnonzero(self.parks)
+        self.opcode = np.array([_OPCODES[k[0]] for k in keys] + [OP_SYNC_EVENT], dtype=np.uint8)
+        self.wsync = np.array([k == WSYNC for k in keys] + [False])
+        self.barrier = np.array([k == BARRIER for k in keys] + [False])
+        self.cross = np.array([k[0] == "bc" for k in keys] + [False])
+        #: sites whose rows carry no payload
+        self.bare = self.wsync | self.barrier | self.cross
+        self.bare[-1] = True
+        #: sites that issue ahead of a cross-lane exchange
+        self.regular = ~self.bare
+        self.wsync_ids = np.flatnonzero(self.wsync)
+        self.barrier_ids = np.flatnonzero(self.barrier)
 
     @functools.cached_property
     def lines(self) -> list[tuple[str, int]]:
         """``(file, line)`` of every site, read from the kernel's bytecode."""
-        found = yield_sites(self.program.__code__)
-        if [k for k, _ in found] != list(self.keys):
+        found = _kernel_sites(self.program)
+        if [k for k, _ in found] != list(self.declared):
             raise RuntimeError(
                 f"{self.program.__qualname__} yields {[k for k, _ in found]}, "
-                f"expected {list(self.keys)}"
+                f"expected {list(self.declared)}"
             )
         return [line for _, line in found]
 
@@ -172,26 +235,39 @@ class _Tape:
 
 class _Rows:
     """Issued rows in the order they were run: per row its site, lane
-    count, warp and lowest payload value, and each payload entry's offset
-    from its row's lowest value.  A row's lanes touch nearby addresses, so
-    16-bit offsets keep the staged payload a quarter of its final size;
-    a chunk of rows whose offsets do not fit is staged wide."""
+    count, record-order key and lowest payload value, and each payload
+    entry's offset from its row's lowest value.  Rows are staged in
+    chunks of about 64K payload entries.  A row's lanes touch nearby
+    addresses, so 16-bit offsets keep the staged payload a quarter of its
+    final size; a chunk whose offsets do not fit is staged wide."""
 
-    def __init__(self, sites: Sites):
-        self.parks = sites.parks
+    def __init__(self):
         self.tapes = {
             name: _Tape(dtype)
             for name, dtype in (
-                ("site", np.int8), ("nl", np.int32), ("warp", np.int32),
+                ("site", np.int8), ("nl", np.int32), ("key", np.int64),
                 ("low", np.int64), ("narrow", np.uint16), ("wide", np.int64),
             )
         }
         self.chunks: list[int] = []  # rows per chunk
         self.wide: list[bool] = []
+        self._pending: list[tuple] = []
+        self._npay = 0
 
-    def add(self, sites, nlanes, warps, pay, npay) -> None:
-        """One chunk of rows; ``pay`` lists the payload of every row in row
-        order, ``npay[i]`` entries for row ``i``."""
+    def add(self, sites, nlanes, keys, pay, npay) -> None:
+        """Rows in issue order; ``pay`` lists the payload of every row in
+        row order, ``npay[i]`` entries for row ``i``."""
+        self._pending.append((sites, nlanes, keys, pay, npay))
+        self._npay += pay.size
+        if self._npay >= 1 << 16:
+            self.stage()
+
+    def stage(self) -> None:
+        """Move the pending rows to the tapes as one chunk."""
+        if not self._pending:
+            return
+        sites, nlanes, keys, pay, npay = (np.concatenate(part) for part in zip(*self._pending))
+        self._pending, self._npay = [], 0
         starts = npay.cumsum() - npay
         if npay.all():
             low = np.minimum.reduceat(pay, starts)
@@ -207,10 +283,68 @@ class _Rows:
         t["wide" if wide else "narrow"].append(pay)
         t["site"].append(sites)
         t["nl"].append(nlanes)
-        t["warp"].append(warps)
+        t["key"].append(keys)
         t["low"].append(low)
         self.chunks.append(sites.size)
         self.wide.append(wide)
+
+
+def _last_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of sorted ``keys`` is the last of its run."""
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return last
+
+
+class Workspace:
+    """A global array that several sub-groups reuse, such as a spill pool
+    indexed modulo its slots (:meth:`Lanes.workspace`).
+
+    Generator recording runs the sub-groups one after another, so each
+    reads back what it wrote before the next overwrites it.  Here they run
+    side by side, so each owner keeps the words it writes to itself, and
+    the array takes every owner's words in owner order when the launch
+    ends.  Owners are numbered in record order, and an owner reads only
+    words it wrote.
+    """
+
+    def __init__(self, darr: DeviceArray):
+        self.darr = darr
+        self.span = darr.data.size
+        self._keys: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
+        self._table = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def store(self, owner, idx, values) -> None:
+        self.darr.data[idx]  # out of range raises as the generators' store does
+        self._keys.append(owner * self.span + idx % self.span)
+        self._vals.append(np.broadcast_to(values, idx.shape).astype(np.int64))
+
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(owner, index)`` key, ascending, with its last value."""
+        if self._keys:
+            keys = np.concatenate([self._table[0], *self._keys])
+            vals = np.concatenate([self._table[1], *self._vals])
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            last = _last_of_runs(keys)
+            self._table = (keys[last], vals[last])
+            self._keys, self._vals = [], []
+        return self._table
+
+    def load(self, owner, idx) -> np.ndarray:
+        keys, vals = self._merged()
+        return vals[np.searchsorted(keys, owner * self.span + idx % self.span)]
+
+    def flush(self) -> None:
+        """Write every owner's words to the array: a word written by
+        several owners takes the last owner's value."""
+        keys, vals = self._merged()
+        idx = keys % self.span
+        order = np.argsort(idx, kind="stable")  # owners ascending per word
+        idx, vals = idx[order], vals[order]
+        last = _last_of_runs(idx)
+        self.darr.data[idx[last]] = vals[last]
 
 
 class Lanes:
@@ -231,6 +365,10 @@ class Lanes:
     #: ``(first site, length)`` of each straight run: sites that follow each
     #: other unconditionally, except that the last may branch
     STRAIGHT: tuple[tuple[int, int], ...] = ()
+    #: barrier phases (0 before a block's first ``("y",)``) in which a
+    #: block's warps run one after another, as generator recording runs
+    #: them: phases where one warp's shared effects steer another's
+    ORDERED: tuple[int, ...] = ()
     _IDENTITY = ("gw", "tid", "tib", "bs", "lane")
 
     def __init__(self, device, *, grid_dim, block_dim, args, shared_words, blocks):
@@ -242,7 +380,7 @@ class Lanes:
         self._names = self._IDENTITY + self.REGS
         self._file = np.empty((len(self._names), n), dtype=np.int64)
         self._file[len(self._IDENTITY) :] = 0
-        self._site = np.empty(n, dtype=np.int8)
+        self._site = np.empty(n, dtype=np.int64)
         self._bind(n)
         t = np.arange(block_dim, dtype=np.int64)
         self.tid[:] = (np.asarray(blocks, dtype=np.int64)[:, None] * block_dim + t).ravel()
@@ -254,9 +392,16 @@ class Lanes:
         # wraps exactly like the block's SharedMemory.words.
         self.smem = np.empty((nblk, shared_words), dtype=np.int64)
         self.smem[:] = 0
-        #: arg id -> [(warp, iteration) of the first write, array, index arrays]
+        #: arg id -> [(record key, iteration) of the first write, array, index arrays]
         self._writes: dict[int, list] = {}
+        self._pools: list[Workspace] = []
         self.it = 0
+        self.phase = np.zeros(nblk, dtype=np.int64)  # barriers each block passed
+        #: each site's id, repeated for a row per sampled warp
+        self._site_rows = np.repeat(np.arange(self.SITES.ns, dtype=np.int8)[:, None], nblk * self.wpb, axis=1)
+        # Per site: its level's lift above the lane count, scaled, plus the
+        # site id that rides in the low digits of a lane's score.
+        self._columns = np.arange(self.SITES.ns) + ws * ws * self.SITES.ns * self.SITES.regular
         self.site[:] = self.start()
         self._index()
 
@@ -271,11 +416,18 @@ class Lanes:
         first = np.ones(gw.size, dtype=bool)
         first[1:] = gw[1:] != gw[:-1]
         self.starts = np.flatnonzero(first)
-        self.warps = gw[self.starts]  # sampled warp of each segment
+        self.seg_bs = self.bs[self.starts]  # block slot of each segment
+        warps = gw[self.starts]  # sampled warp of each segment
+        self._seg_key = (self.seg_bs << _BLOCK_SHIFT) + warps - self.seg_bs * self.wpb
+        self._keys()
         self.wl = np.cumsum(first) - 1  # segment of each lane
         self.wl_key = self.wl * self.SITES.ns
-        # The lower lane wins a tie, and the site rides in the low digits.
+        # The lower lane wins a tie.
         self.rank = (self.warp_size - 1 - self.lane) * self.SITES.ns
+
+    def _keys(self) -> None:
+        """Each segment's record-order key for the rows it issues now."""
+        self.okey = self._seg_key + (self.phase[self.seg_bs] << _PHASE_SHIFT)
 
     def compact(self) -> None:
         """Drop retired lanes from every register."""
@@ -295,7 +447,8 @@ class Lanes:
 
     def issue(self, site: int, sub: np.ndarray) -> np.ndarray | None:
         """Run ``site`` for lanes ``sub``; returns their payload (``None``
-        for a ``("w",)`` site, whose lanes are being released)."""
+        for a site whose rows carry none: a ``("w",)`` or ``("y",)`` whose
+        lanes are being released, or a ``("bc", ...)`` exchange)."""
         raise NotImplementedError
 
     # -- memory ops for issue() ------------------------------------------
@@ -330,7 +483,7 @@ class Lanes:
 
     def _logged(self, sub, darr: DeviceArray, idx) -> None:
         entry = self._writes.get(id(darr))
-        first = (int(self.gw[sub].min()), self.it)
+        first = (int(self.okey[self.wl[sub]].min()), self.it)
         if entry is None:
             self._writes[id(darr)] = [first, darr, [idx]]
         else:
@@ -342,6 +495,19 @@ class Lanes:
         self._logged(sub, darr, idx)
         return sectors(darr, idx)
 
+    def workspace(self, darr: DeviceArray) -> Workspace:
+        """A :class:`Workspace` over argument ``darr``, written back with
+        the launch."""
+        pool = Workspace(darr)
+        self._pools.append(pool)
+        return pool
+
+    def pool_store(self, sub, pool: Workspace, owner, idx, values) -> np.ndarray:
+        """A global store into ``pool``, as owner ``owner[i]`` of lane ``sub[i]``."""
+        pool.store(owner, idx, values)
+        self._logged(sub, pool.darr, idx)
+        return sectors(pool.darr, idx)
+
     def global_add(self, sub, darr: DeviceArray, idx, delta) -> np.ndarray:
         """Global atomic add whose old value the kernel discards."""
         np.add.at(darr.data, idx, delta)
@@ -350,93 +516,144 @@ class Lanes:
 
     def writeback(self) -> np.ndarray | None:
         """The launch's writeback log (:func:`repro.gpu.engine._writeback_log`)."""
+        for pool in self._pools:
+            pool.flush()
         writes = sorted(self._writes.values(), key=lambda w: w[0])
         return _writeback_log([(darr, np.concatenate(idxs)) for _, darr, idxs in writes], self.args)
 
     # -- one scheduler step for every live warp --------------------------
 
     def select(self):
-        """Per warp segment: the issuing site (``-1``: retired), its lane
-        count, and whether the step releases parked lanes instead."""
+        """Per warp segment: the issuing site (``-1``: none), its lane
+        count, and whether the step releases parked lanes instead.
+
+        A site's level decides: retired lanes -2, lanes at a ``("y",)``
+        -1, at a ``("w",)`` 0, at a cross-lane exchange their count, and
+        at any other site their count plus a warp.  The level scales past
+        every tie-break term.
+        """
         S = self.SITES
-        ns, big = S.ns, self.warp_size * S.ns
+        ws = self.warp_size
+        ns, big = S.ns, ws * S.ns
         key = self.wl_key + self.site
         cnt = np.bincount(key, minlength=self.starts.size * ns).reshape(-1, ns)
         self.retired = int(cnt[:, S.done].sum())
-        cnt[:, S.done] = -1
+        cnt[:, S.done] = -2
         parked = None
-        if S.park_ids.size:
-            self.parked_at = cnt[:, S.park_ids]
+        if S.wsync_ids.size:
+            self.parked_at = cnt[:, S.wsync_ids]
             parked = self.parked_at.sum(axis=1)
-            cnt[:, S.park_ids] = 0  # below any runnable site, above retired
-        cnt *= big
+            cnt[:, S.wsync_ids] = 0
+        if S.barrier_ids.size:
+            cnt[:, S.barrier_ids] = -1
         self.cnt = cnt
-        score = cnt.ravel()[key]
+        level = cnt * big
+        level += self._columns
+        score = level.ravel()[key]
         score += self.rank
-        score += self.site
         best = np.maximum.reduceat(score, self.starts)
         win = best % ns
-        win[best < 0] = -1
-        nlanes = best // big
+        nlanes = best // big  # for now the level: -2, -1, 0 or a count
+        win[nlanes < 0] = -1
+        if S.barrier_ids.size:
+            self.waiting = nlanes == -1
         sync = None
         if parked is not None:
-            sync = (best >= 0) & (best < big)
+            sync = nlanes == 0
             if sync.any():
                 nlanes[sync] = parked[sync]
             else:
                 sync = None
+        nlanes[nlanes > ws] -= ws
         return win, nlanes, sync
+
+    def _release(self, win, out: _Rows) -> bool:
+        """Open the barrier of every block whose warps have all parked at a
+        ``("y",)`` or retired: one barrier row per parked warp, then the
+        lanes go on into the block's next phase."""
+        if not self.waiting.any():
+            return False
+        busy = np.bincount(self.seg_bs[win >= 0], minlength=self.nblk) > 0
+        opened = (np.bincount(self.seg_bs[self.waiting], minlength=self.nblk) > 0) & ~busy
+        if not opened.any():
+            return False
+        segs = self.waiting & opened[self.seg_bs]
+        k = int(segs.sum())
+        none = np.zeros(k, dtype=np.int64)
+        out.add(np.full(k, self.SITES.done, dtype=np.int8), none, self.okey[segs] + _SYNC_ROW,
+                np.empty(0, dtype=np.int64), none)
+        self.phase[opened] += 1
+        self._keys()
+        lanes = np.flatnonzero(opened[self.bs] & self.SITES.barrier[self.site])
+        parked = [(s, lanes[self.site[lanes] == s]) for s in self.SITES.barrier_ids.tolist()]
+        for s, sub in parked:
+            if sub.size:
+                self.issue(s, sub)
+        return True
+
+    def _hold(self, win, sync) -> None:
+        """In an :attr:`ORDERED` phase only a block's lowest warp that has
+        not parked at its barrier runs."""
+        ordered = np.isin(self.phase, self.ORDERED)[self.seg_bs] & (win >= 0)
+        if not ordered.any():
+            return
+        at = np.flatnonzero(ordered)
+        blk = self.seg_bs[at]
+        held = at[np.append(False, blk[1:] == blk[:-1])]
+        win[held] = -1
+        if sync is not None:
+            sync[held] = False
 
     def run(self) -> LaunchTrace:
         S = self.SITES
-        out = _Rows(S)
+        out = _Rows()
         runs = dict(self.STRAIGHT)
+        barriers = S.barrier_ids.size > 0
+        bare = S.wsync_ids.size > 0 or S.cross.any()
         while self.site.size:
             win, nlanes, sync = self.select()
-            if self.retired * 2 > self.site.size:
-                self.compact()
-                continue
+            if barriers:
+                if self._release(win, out):
+                    continue
+                if self.ORDERED:
+                    self._hold(win, sync)
             live = win >= 0
-            if not live.any():
+            if not np.count_nonzero(live):
                 break
+            rows, nl = win[live], nlanes[live]
             at = self.site == win[self.wl]
             if sync is not None and (self.parked_at[sync] > 0).sum(axis=1).max() > 1:
                 # a release whose lanes parked at different syncs
-                at |= sync[self.wl] & S.parks[self.site]
+                at |= sync[self.wl] & S.wsync[self.site]
             ix = at.nonzero()[0]
             isite = self.site[ix]
-            order = isite.argsort(kind="stable")
-            bounds = np.bincount(isite, minlength=S.ns).cumsum()
             pay = np.empty(ix.size, dtype=np.int64)
             started = []  # (first site, its lanes) of straight runs
-            a = 0
-            for site, b in enumerate(bounds[: S.done].tolist()):
-                if b > a:
-                    at = order[a:b]
-                    sub = ix[at]
-                    got = self.issue(site, sub)
-                    if got is not None:
-                        pay[at] = got
-                    if site in runs:
-                        started.append((site, sub))
-                    a = b
-            rows, nl = win[live], nlanes[live]
+            for site in np.bincount(isite, minlength=S.ns).nonzero()[0].tolist():
+                at = isite == site
+                sub = ix[at]
+                got = self.issue(site, sub)
+                if got is not None:
+                    pay[at] = got
+                if site in runs:
+                    started.append((site, sub))
             npay = nl
-            if sync is not None:
-                pay = pay[~S.parks[isite]]
-                npay = np.where(S.parks[rows], 0, nl)
+            if bare:
+                empty = S.bare[rows]
+                if np.count_nonzero(empty):
+                    pay = pay[~S.bare[isite]]
+                    npay = np.where(empty, 0, nl)
             self.it += 1
-            # This iteration's rows, then those of the straight runs, as one
-            # chunk: each warp's rows stay in issue order.
-            chunk = [(rows, nl, self.warps[live], pay, npay)]
+            # This iteration's rows, then those of the straight runs: each
+            # warp's rows stay in issue order.
+            out.add(rows, nl, self.okey[live], pay, npay)
             for first, sub in started:
-                chunk += self._straight(first, runs[first], sub, win, nlanes)
-            out.add(*(
-                np.concatenate(part) if len(chunk) > 1 else part[0] for part in zip(*chunk)
-            ))
+                self._straight(first, runs[first], sub, win, nlanes, out)
+            if self.retired * 2 > self.site.size:
+                self.compact()
         return self._trace(out)
 
-    def _straight(self, first: int, length: int, sub, win, nlanes) -> list[tuple]:
+    def _straight(self, first: int, length: int, sub, win, nlanes, out: _Rows) -> None:
         """Rows 2..``length`` of a straight run whose first site lanes
         ``sub`` just issued.  In a warp where no other lane waits at the
         run's later sites the group moves as one and keeps winning, so it
@@ -447,8 +664,8 @@ class Lanes:
         the warp was at that sync, they are its only runnable lanes.
         """
         go = win == first
-        if self.SITES.parks[first]:
-            go &= self.parked_at[:, self.SITES.park_ids == first][:, 0] == nlanes
+        if self.SITES.wsync[first]:
+            go &= self.parked_at[:, self.SITES.wsync_ids == first][:, 0] == nlanes
             lanes = sub[go[self.wl[sub]]]
             lanes = lanes[self.site[lanes] == first + 1]
             nl = np.bincount(self.wl[lanes], minlength=go.size)
@@ -459,24 +676,19 @@ class Lanes:
             lanes = sub[go[self.wl[sub]]]
             nl = nlanes[go]
         if not go.any():
-            return []
-        pays = [self.issue(site, lanes) for site in range(first + 1, first + length)]
+            return
+        keys = self.okey[go]
+        for site in range(first + 1, first + length):
+            pay = self.issue(site, lanes)
+            out.add(self._site_rows[site][: keys.size], nl, keys, pay, nl)
         self.it += length - 1
-        k = length - 1
-        nl = np.concatenate([nl] * k) if k > 1 else nl
-        return [(
-            np.arange(first + 1, first + length, dtype=np.int8).repeat(go.sum()),
-            nl,
-            np.concatenate([self.warps[go]] * k),
-            np.concatenate(pays) if k > 1 else pays[0],
-            nl,
-        )]
 
     def _trace(self, out: _Rows) -> LaunchTrace:
         S = self.SITES
+        out.stage()
         tapes = out.tapes
-        site, nl, warp, low = (tapes[k].view() for k in ("site", "nl", "warp", "low"))
-        npay = np.where(S.parks[site], 0, nl).astype(np.int64)
+        site, nl, key, low = (tapes[k].view() for k in ("site", "nl", "key", "low"))
+        npay = np.where(S.bare[site], 0, nl).astype(np.int64)
         # Each staged row's first entry in its payload tape.
         wide = np.repeat(np.array(out.wide, dtype=bool), out.chunks)
         narrow_n = np.where(wide, 0, npay)
@@ -484,31 +696,35 @@ class Lanes:
         if wide.any():
             wide_n = npay - narrow_n
             start[wide] = (np.cumsum(wide_n) - wide_n)[wide]
-        # Record order is warp by warp, and each warp's rows were staged in
-        # iteration order.
-        order = np.argsort(warp, kind="stable")
+        # Record order is by key, and each warp's rows of a phase were
+        # staged in iteration order.
+        order = np.argsort(key, kind="stable")
         ops = S.opcode[site[order]]
         loc = site[order].astype(np.int32)
         npay = npay[order]
         nl = nl[order].astype(np.int64)
-        row_off = np.zeros(self.nblk * self.wpb + 1, dtype=np.int64)
-        np.cumsum(np.bincount(warp, minlength=row_off.size - 1), out=row_off[1:])
+        row_off = np.zeros(self.nblk + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key >> _BLOCK_SHIFT, minlength=self.nblk), out=row_off[1:])
         pay_off = np.zeros(nl.size + 1, dtype=np.int64)
         np.cumsum(npay, out=pay_off[1:])
         payload = np.empty(int(pay_off[-1]), dtype=np.int64)
 
-        # Intern each site's line in first-use order, then map site -> location id.
+        # Intern each site's line in first-use order, then map site -> location
+        # id; barrier rows carry none (id 0).
         table = LocationTable()
         used, first = np.unique(loc, return_index=True)
         lut = np.zeros(S.ns, dtype=np.int32)
         for s in used[np.argsort(first)].tolist():
-            lut[s] = table.intern(S.lines[s])
+            if s != S.done:
+                lut[s] = table.intern(S.lines[s])
         np.take(lut, loc, out=loc)
 
-        aux = np.zeros(nl.size, dtype=np.int64)
-        per_block = []
-        for b in range(self.nblk):
-            r0, r1 = row_off[b * self.wpb], row_off[(b + 1) * self.wpb]
+        # Fill the payload a run of blocks at a time, about 64K entries a run.
+        block_pay = pay_off[row_off]
+        b0 = 0
+        while b0 < self.nblk:
+            b1 = max(b0 + 1, int(np.searchsorted(block_pay, block_pay[b0] + (1 << 16), "right")) - 1)
+            r0, r1 = row_off[b0], row_off[b1]
             p0, p1 = pay_off[r0], pay_off[r1]
             rows, cnt = order[r0:r1], npay[r0:r1]
             src = np.repeat(start[rows] - (pay_off[r0:r1] - p0), cnt) + np.arange(p1 - p0)
@@ -521,9 +737,15 @@ class Lanes:
                 seg[w] += tapes["narrow"].buf[src[w]]
             else:
                 seg += tapes["narrow"].buf[src]
-            per_block.append(
-                BlockTrace(ops[r0:r1], nl[r0:r1], aux[r0:r1], npay[r0:r1], seg, loc[r0:r1])
-            )
+            b0 = b1
+        aux = np.zeros(nl.size, dtype=np.int64)
+        per_block = []
+        for b in range(self.nblk):
+            r0, r1 = row_off[b], row_off[b + 1]
+            per_block.append(BlockTrace(
+                ops[r0:r1], nl[r0:r1], aux[r0:r1], npay[r0:r1],
+                payload[pay_off[r0] : pay_off[r1]], loc[r0:r1],
+            ))
         unique, instances = dedupe_blocks(per_block)
         return LaunchTrace(
             grid_dim=self.grid_dim,

@@ -13,9 +13,9 @@ import pytest
 
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100
-from repro.gpu.emit import WSYNC, Lanes, Sites, emitter, sectors, yield_sites
+from repro.gpu.emit import BARRIER, VARIABLE, WSYNC, Lanes, Sites, emitter, sectors, yield_sites
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.trace import OP_WSYNC
+from repro.gpu.trace import OP_ALU, OP_GLOBAL_LOAD, OP_SYNC_EVENT, OP_WSYNC
 from tests.emit_checks import assert_identical
 
 
@@ -182,6 +182,8 @@ def test_warp_sync_row_counts_parked_lanes_at_the_lowest_lanes_line():
 def test_yield_sites_name_warp_syncs_by_position():
     keys = [key for key, _ in yield_sites(_park_thread.__code__)]
     assert keys == [("g", "early"), WSYNC, WSYNC, ("g", "after")]
+    keys = [key for key, _ in yield_sites(_either_sync_thread.__code__)]
+    assert keys == [("g", "a"), VARIABLE, ("g", "b")]
 
 
 def _twin_thread(ctx, data):
@@ -196,3 +198,180 @@ def test_sites_must_match_the_kernel():
         Sites(_park_thread, ("g", "early"), WSYNC, ("g", "after")).lines
     with pytest.raises(RuntimeError, match="unique"):
         Sites(_twin_thread, ("g", "twin"), ("g", "twin"))
+    # A launch that never reaches one of the two may name both.
+    assert len(Sites(_twin_thread, ("g", "twin"), ("g", "twin"), skip=(1,)).lines) == 2
+    with pytest.raises(RuntimeError, match="unique"):
+        Sites(_either_sync_thread, ("g", "a"), VARIABLE, ("g", "b"))  # unresolved
+
+
+def _barrier_thread(ctx, data):
+    if ctx.warp == 2:
+        return
+    yield ("g", "pre", data, ctx.tid)
+    if ctx.warp == 1:
+        yield ("g", "more", data, ctx.tid)
+    yield ("y",)
+    yield ("g", "post", data, ctx.tid)
+
+
+class BarrierLanes(Lanes):
+    SITES = Sites(_barrier_thread, ("g", "pre"), ("g", "more"), BARRIER, ("g", "post"))
+
+    def start(self):
+        return np.where(self.tib // 32 == 2, self.SITES.done, 0)
+
+    def issue(self, site, sub):
+        if site == 2:  # released
+            self.site[sub] = 3
+            return None
+        if site == 0:
+            self.site[sub] = np.where(self.tib[sub] // 32 == 1, 1, 2)
+        else:
+            self.site[sub] = 2 if site == 1 else self.SITES.done
+        return sectors(self.args[0], self.tid[sub])
+
+
+def test_block_barrier_rows_come_warp_by_warp():
+    """Warp 0 reaches ``("y",)`` first and warp 2 retires at once, yet the
+    block's rows are warp 0's then warp 1's up to the barrier, one barrier
+    row per warp that parked (none for warp 2), then the warps again."""
+    data = GlobalMemory(SIM_V100).alloc("data", np.arange(192, dtype=np.int64))
+    trace = record_both(_barrier_thread, BarrierLanes, (data,), block_dim=96)
+    rows = first_block(trace)
+    lines = [trace.locations[i][1] for i in rows.loc.tolist()]
+    site_line = [line for _, line in BarrierLanes.SITES.lines]
+    assert rows.ops.tolist() == [OP_GLOBAL_LOAD] * 3 + [OP_SYNC_EVENT] * 2 + [OP_GLOBAL_LOAD] * 2
+    assert lines == [site_line[0], site_line[0], site_line[1], 0, 0, site_line[3], site_line[3]]
+    assert rows.payload[32] == sectors(data, np.int64(32))  # warp 1's lane 0, after warp 0
+    assert rows.nlanes[rows.ops == OP_SYNC_EVENT].tolist() == [0, 0]
+
+
+def _bump_thread(ctx, out, times):
+    olds = 0
+    for _ in range(times):
+        old = yield ("sa", "bump", 0, 1)
+        olds = olds * 1000 + old
+    yield ("y",)
+    yield ("gs", "keep", out, ctx.tid, olds)
+
+
+class BumpLanes(Lanes):
+    SITES = Sites(_bump_thread, ("sa", "bump"), BARRIER, ("gs", "keep"))
+    REGS = ("k", "olds")
+    ORDERED = (0,)
+
+    def start(self):
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        if site == 1:
+            self.site[sub] = 2
+            return None
+        if site == 2:
+            self.site[sub] = self.SITES.done
+            return self.global_store(sub, self.args[0], self.tid[sub], self.olds[sub])
+        idx = np.zeros(sub.size, dtype=np.int64)
+        self.olds[sub] = self.olds[sub] * 1000 + self.shared_add(sub, idx, 1)
+        self.k[sub] += 1
+        self.site[sub] = np.where(self.k[sub] < self.args[1], 0, 1)
+        return idx
+
+
+class SideBySideBumpLanes(BumpLanes):
+    ORDERED = ()
+
+
+@pytest.mark.parametrize("times", [1, 2])
+def test_shared_atomics_rank_across_the_warps_of_a_block(times):
+    """Every lane of a 3-warp block bumps one shared word ``times`` times
+    before a barrier: warp 0 takes the lowest old values, then warp 1,
+    then warp 2, as the warps run one after another.  With one bump per
+    warp the warps may run side by side; with two, warp 0's second row
+    comes before warp 1's first only in an ordered phase."""
+    out = GlobalMemory(SIM_V100).zeros("out", 192)
+    tib = np.arange(96)
+    first = (tib // 32) * 32 * times + tib % 32
+    expected = first if times == 1 else first * 1000 + first + 32
+    for lanes_cls in (BumpLanes, SideBySideBumpLanes):
+        if lanes_cls is SideBySideBumpLanes and times > 1:
+            with pytest.raises(AssertionError):
+                record_both(_bump_thread, lanes_cls, (out, times), block_dim=96, shared_words=1)
+            continue
+        trace = record_both(_bump_thread, lanes_cls, (out, times), block_dim=96, shared_words=1)
+        np.testing.assert_array_equal(trace.writeback[:, 2], np.tile(expected, 2))
+
+
+def _swap_thread(ctx, data):
+    v = 0
+    if ctx.lane < 8:
+        v = yield ("g", "a", data, ctx.lane)
+        v = yield ("g", "b", data, v)
+    meta = yield ("bc", "swap", v)
+    yield ("g", "c", data, meta[ctx.lane % 8])
+
+
+class SwapLanes(Lanes):
+    SITES = Sites(_swap_thread, ("g", "a"), ("g", "b"), ("bc", "swap"), ("g", "c"))
+    REGS = ("v",)
+
+    def start(self):
+        return np.where(self.lane < 8, 0, 2)
+
+    def issue(self, site, sub):
+        data = self.args[0]
+        if site == 2:  # every lane of the warp swaps
+            v = self.v[sub].reshape(-1, 32)
+            self.v[sub] = np.repeat(v[:, :8], 4, axis=0).reshape(-1, 32).ravel()
+            self.site[sub] = 3
+            return None
+        idx = self.lane[sub] if site == 0 else self.v[sub]
+        self.v[sub] = data.data[idx]
+        self.site[sub] = site + 1 if site < 3 else self.SITES.done
+        return sectors(data, idx)
+
+
+def test_an_exchange_waits_behind_every_other_site():
+    """24 lanes wait at the exchange from the start, but the 8 lanes at
+    ``a`` and then ``b`` issue first; the exchange is one ALU row of all
+    32 lanes, with no payload."""
+    data = GlobalMemory(SIM_V100).alloc("data", (np.arange(64, dtype=np.int64) * 7) % 64)
+    trace = record_both(_swap_thread, SwapLanes, (data,))
+    rows = first_block(trace)
+    assert rows.ops.tolist() == [OP_GLOBAL_LOAD, OP_GLOBAL_LOAD, OP_ALU, OP_GLOBAL_LOAD]
+    assert rows.nlanes.tolist() == [8, 8, 32, 32]
+    assert rows.npay[2] == rows.aux[2] == 0
+
+
+def _either_sync_thread(ctx, data, warp_only):
+    sync = ("w",) if warp_only else ("y",)
+    yield ("g", "a", data, ctx.tid)
+    yield sync
+    yield ("g", "b", data, ctx.tid)
+
+
+class EitherSyncLanes(Lanes):
+    KEYS = (("g", "a"), VARIABLE, ("g", "b"))
+
+    def __init__(self, device, *, args, **launch):
+        self.SITES = Sites(_either_sync_thread, *self.KEYS, var=WSYNC if args[1] else BARRIER)
+        super().__init__(device, args=args, **launch)
+
+    def start(self):
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        self.site[sub] = site + 1 if site < 2 else self.SITES.done
+        return None if site == 1 else sectors(self.args[0], self.tid[sub])
+
+
+@pytest.mark.parametrize("warp_only", [True, False])
+def test_a_variable_yield_resolves_per_launch(warp_only):
+    """``yield sync`` is a ``__syncwarp`` in one launch and a
+    ``__syncthreads`` in another, on the same line."""
+    data = GlobalMemory(SIM_V100).alloc("data", np.arange(128, dtype=np.int64))
+    trace = record_both(_either_sync_thread, EitherSyncLanes, (data, warp_only), block_dim=64)
+    rows = first_block(trace)
+    if warp_only:
+        assert rows.ops.tolist() == [OP_GLOBAL_LOAD, OP_WSYNC, OP_GLOBAL_LOAD] * 2
+    else:
+        assert rows.ops.tolist() == [OP_GLOBAL_LOAD] * 2 + [OP_SYNC_EVENT] * 2 + [OP_GLOBAL_LOAD] * 2
