@@ -24,8 +24,10 @@ import json
 from pathlib import Path
 
 from repro.framework.resilience import RetryPolicy
-from repro.serve import TriangleServer, run_load
+from repro.serve import TriangleServer
 from repro.serve.admission import AdmissionPolicy
+
+from loadgen import run_load
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 

@@ -1,4 +1,4 @@
-"""Concurrent load generator for the serve daemon.
+"""Concurrent load generator for the serve daemon (used by ``bench_serve_load``).
 
 Drives N client connections submitting a seeded, mixed-size job stream
 and reports the numbers the acceptance criteria care about:
@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .client import JobReceipt, ServeClient, ServeConnectionClosed, ServeTimeout
+from repro.serve.client import JobReceipt, ServeClient, ServeConnectionClosed, ServeTimeout
 
 __all__ = ["LoadReport", "percentile", "run_load"]
 

@@ -1,10 +1,10 @@
 """Full comparison matrix: algorithms x datasets (the paper's Figures 11-13).
 
 :func:`run_matrix` executes every cell through :func:`~repro.framework.
-runner.run_one` — serially, or fanned out over worker processes via
-:mod:`repro.framework.parallel` when ``jobs != 1`` — and returns the
-records in a :class:`ComparisonMatrix` that the report module and the
-benchmark harness pivot into the paper's tables and figure series.
+parallel.run_cells` (in-process at jobs=1, over worker processes
+otherwise), or through the resilience layer for supervised runs, and
+returns the records in a :class:`ComparisonMatrix` that the report module
+and the benchmark harness pivot into the paper's tables and figure series.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
 from ..graph.datasets import dataset_names
 from ..obs.tracer import get_tracer
-from .runner import DEFAULT_MAX_BLOCKS, RunRecord, run_one
+from .parallel import run_cells
+from .runner import DEFAULT_MAX_BLOCKS, RunRecord
 
 __all__ = ["ComparisonMatrix", "MAXIMIZE_METRICS", "metric_maximizes", "run_matrix"]
 
@@ -132,12 +133,12 @@ def run_matrix(
     over all nineteen Table II replicas on the scaled V100, with paper-scale
     capacity checks against the real V100.
 
-    ``jobs`` selects the execution strategy: ``1`` (default) runs the cells
-    serially in-process; ``0`` fans out over one worker process per CPU
-    core; any other value uses that many workers.  Record content and order
-    are identical either way — parallel execution is an implementation
-    detail of the same matrix.  ``progress_callback(record, done, total)``
-    fires as each cell completes.
+    ``jobs`` selects the worker count: ``1`` (default) runs the cells
+    in-process; ``0`` fans out over one worker process per CPU core; any
+    other value uses that many workers.  Record content and order are
+    identical either way, under injected faults too — parallel execution
+    is an implementation detail of the same matrix.
+    ``progress_callback(record, done, total)`` fires as each cell completes.
 
     Any of ``run_id`` / ``resume`` / ``cell_timeout`` / ``retry_policy`` /
     ``validate`` routes execution through the resilience layer
@@ -233,31 +234,14 @@ def run_matrix(
         )
         return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)
 
-    if jobs == 1 or len(cells) <= 1:
-        records: list[RunRecord] = []
-        for alg, ds in cells:
-            rec = run_one(
-                alg,
-                ds,
-                device=device,
-                capacity_device=capacity_device,
-                ordering=ordering,
-                max_blocks_simulated=max_blocks_simulated,
-                cost_model=cost_model,
-            )
-            records.append(rec)
-            _notify(rec, len(records), len(cells))
-    else:
-        from .parallel import run_cells
-
-        records = run_cells(
-            cells,
-            jobs=jobs,
-            device=device,
-            capacity_device=capacity_device,
-            ordering=ordering,
-            max_blocks_simulated=max_blocks_simulated,
-            cost_model=cost_model,
-            progress_callback=_notify,
-        )
+    records = run_cells(
+        cells,
+        jobs=jobs,
+        device=device,
+        capacity_device=capacity_device,
+        ordering=ordering,
+        max_blocks_simulated=max_blocks_simulated,
+        cost_model=cost_model,
+        progress_callback=_notify,
+    )
     return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)

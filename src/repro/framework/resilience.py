@@ -52,17 +52,17 @@ from ..graph import io as gio
 from ..graph.datasets import get_spec, load_oriented, size_class, warm_cache
 from ..obs.flightrec import maybe_dump
 from ..obs.metrics import get_metrics
-from ..obs.tracer import absorb_forwarded, attach_forwarded, forwarding_buffer, get_tracer
+from ..obs.tracer import absorb_forwarded, get_tracer, run_forwarded
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord, run_one_safe
 
 __all__ = [
     "CHAOS_ENV",
     "CHAOS_SEED_ENV",
     "CHAOS_MODES",
-    "LEGACY_CRASH_ENV",
     "CellTimeout",
     "ChaosInjected",
     "ChaosSpec",
+    "AppendLog",
     "RetryPolicy",
     "RunJournal",
     "chaos_from_env",
@@ -100,9 +100,6 @@ HANG_SECONDS_ENV = "REPRO_CHAOS_HANG_S"
 #: ``max_blocks_simulated`` therefore genuinely speeds the cell up, which is
 #: what lets tests exercise the timeout -> degrade -> succeed path.
 SLOW_SCALE_ENV = "REPRO_CHAOS_SLOW_SCALE"
-#: Legacy single-cell crash hook (``"ALG/DS"`` or ``"exit:ALG/DS"``), still
-#: honoured so pre-existing tooling keeps working.
-LEGACY_CRASH_ENV = "REPRO_TEST_CRASH_CELL"
 
 CHAOS_MODES = (
     "raise", "exit", "hang", "slow", "flip", "corrupt",
@@ -191,8 +188,8 @@ def parse_chaos(spec: str, *, seed: int = 0) -> tuple[ChaosSpec, ...]:
     """Parse a ``;``-separated chaos spec string.
 
     Each entry is ``mode[:ALG/DS][:p=P]`` — e.g. ``"exit:TRUST/As-Caida"``,
-    ``"hang:p=0.1"``, ``"flip:*/As-Caida"``.  A bare ``"ALG/DS"`` (the
-    legacy :data:`LEGACY_CRASH_ENV` form) means ``raise`` on that cell.
+    ``"hang:p=0.1"``, ``"flip:*/As-Caida"``.  A bare ``"ALG/DS"`` means
+    ``raise`` on that cell.
     """
     return tuple(
         _parse_one_chaos(part.strip(), seed) for part in spec.split(";") if part.strip()
@@ -200,14 +197,11 @@ def parse_chaos(spec: str, *, seed: int = 0) -> tuple[ChaosSpec, ...]:
 
 
 def chaos_from_env() -> tuple[ChaosSpec, ...]:
-    """Active chaos specs from :data:`CHAOS_ENV` plus the legacy hook."""
-    seed = int(os.environ.get(CHAOS_SEED_ENV) or 0)
-    specs: list[ChaosSpec] = []
-    for var in (CHAOS_ENV, LEGACY_CRASH_ENV):
-        raw = os.environ.get(var)
-        if raw:
-            specs.extend(parse_chaos(raw, seed=seed))
-    return tuple(specs)
+    """Active chaos specs from :data:`CHAOS_ENV`."""
+    raw = os.environ.get(CHAOS_ENV)
+    if not raw:
+        return ()
+    return parse_chaos(raw, seed=int(os.environ.get(CHAOS_SEED_ENV) or 0))
 
 
 def corrupt_cached_bundle(dataset: str, *, ordering: str = "degree") -> None:
@@ -371,56 +365,54 @@ def execute_cell(
 ) -> RunRecord:
     """One matrix cell with chaos hooks and optional validation; never raises.
 
-    This is the shared worker body: the process-pool executor
-    (:mod:`repro.framework.parallel`) and the resilient per-cell
-    subprocesses both run cells through here, so fault injection and
-    quarantine behave identically on every execution path.  Telemetry
-    emitted while the cell runs is buffered and attached to the record
-    (:func:`repro.obs.tracer.attach_forwarded`) so worker-process spans
-    reach the parent's sinks over the existing result channel.
+    This is the shared cell body: :func:`repro.framework.parallel.run_cells`
+    (in-process at jobs=1, pool workers otherwise) and the resilient
+    per-cell subprocesses both run cells through here, so fault injection
+    and quarantine behave identically on every execution path.  Telemetry
+    crosses a process boundary in the caller's wrapper
+    (:func:`repro.obs.tracer.run_forwarded`), never on the record.
     """
     specs = chaos_from_env()
-    with forwarding_buffer() as buf:
-        with get_tracer().span(
-            "cell",
-            level="info",
-            algorithm=_algorithm_name(algorithm),
-            dataset=dataset,
-            blocks=max_blocks_simulated,
-        ) as span:
-            try:
-                chaos_pre_run(
-                    _algorithm_name(algorithm),
-                    dataset,
-                    ordering=ordering,
-                    blocks=max_blocks_simulated,
-                    specs=specs,
-                )
-                record = run_one_safe(
-                    algorithm,
-                    dataset,
-                    device=device,
-                    capacity_device=capacity_device,
-                    ordering=ordering,
-                    max_blocks_simulated=max_blocks_simulated,
-                    cost_model=cost_model,
-                )
-                record = chaos_post_run(record, specs=specs)
-            except Exception as exc:
-                # run_one_safe already captures algorithm errors; this catches
-                # the chaos hooks and anything raised before run_one_safe.
-                record = _failed_record(algorithm, dataset, device, exc)
-            if validate and record.status == "ok":
-                record = validate_record(record, ordering=ordering)
-            span.set(status=record.status)
-            if record.status == "failed":
-                get_tracer().warning(
-                    "cell_failed",
-                    algorithm=record.algorithm,
-                    dataset=record.dataset,
-                    error=record.error or "",
-                )
-    return attach_forwarded(record, buf.events, metrics=buf.metrics_delta)
+    with get_tracer().span(
+        "cell",
+        level="info",
+        algorithm=_algorithm_name(algorithm),
+        dataset=dataset,
+        blocks=max_blocks_simulated,
+    ) as span:
+        try:
+            chaos_pre_run(
+                _algorithm_name(algorithm),
+                dataset,
+                ordering=ordering,
+                blocks=max_blocks_simulated,
+                specs=specs,
+            )
+            record = run_one_safe(
+                algorithm,
+                dataset,
+                device=device,
+                capacity_device=capacity_device,
+                ordering=ordering,
+                max_blocks_simulated=max_blocks_simulated,
+                cost_model=cost_model,
+            )
+            record = chaos_post_run(record, specs=specs)
+        except Exception as exc:
+            # run_one_safe already captures algorithm errors; this catches
+            # the chaos hooks and anything raised before run_one_safe.
+            record = _failed_record(algorithm, dataset, device, exc)
+        if validate and record.status == "ok":
+            record = validate_record(record, ordering=ordering)
+        span.set(status=record.status)
+        if record.status == "failed":
+            get_tracer().warning(
+                "cell_failed",
+                algorithm=record.algorithm,
+                dataset=record.dataset,
+                error=record.error or "",
+            )
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -534,16 +526,54 @@ def record_from_dict(data: Mapping) -> RunRecord:
     return RunRecord(**{k: v for k, v in data.items() if k in names})
 
 
+class AppendLog:
+    """Append-only, fsync'd JSONL file: the primitive under both journals.
+
+    Each append is one ``write()`` flushed and fsynced, so a crash can tear
+    at most the final line.  :meth:`entries` skips unparsable lines, and an
+    append after a torn tail ends the fragment with a newline first:
+    otherwise the new line would be glued onto the fragment and lost with
+    it.  Used by :class:`RunJournal` and :class:`repro.serve.JobJournal`.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._lock = threading.Lock()
+
+    def append(self, entry: Mapping) -> None:
+        line = (json.dumps(entry, default=_json_default) + "\n").encode()
+        with self._lock, self.path.open("a+b") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+    def entries(self):
+        """Parsed JSON objects in file order; blank, torn or garbage lines skipped."""
+        if not self.path.exists():
+            return
+        with self.path.open(errors="replace") as fh:
+            for line in fh:
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(entry, dict):
+                    yield entry
+
+
 class RunJournal:
     """Append-only JSONL journal of one matrix run.
 
     Lives under ``<cache>/runs/<run_id>/journal.jsonl``; each line is one
-    completed :class:`RunRecord`.  Appends are single ``write()`` calls
-    flushed and fsynced, so a crash can tear at most the final line — and
-    :meth:`load` skips unparsable lines, which turns a torn tail into "one
-    cell to replay" instead of a lost run.  ``meta.json`` pins the matrix
-    configuration so a resume with mismatched parameters fails loudly
-    instead of silently mixing incompatible records.
+    completed :class:`RunRecord`, written through :class:`AppendLog`, so
+    a torn tail costs "one cell to replay" instead of a lost run.
+    ``meta.json`` pins the matrix configuration so a resume with
+    mismatched parameters fails loudly instead of silently mixing
+    incompatible records.
     """
 
     def __init__(self, run_id: str, root: Path | str | None = None) -> None:
@@ -554,15 +584,11 @@ class RunJournal:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / "journal.jsonl"
         self.meta_path = self.dir / "meta.json"
-        self._lock = threading.Lock()
+        self._log = AppendLog(self.path)
 
     def append(self, record: RunRecord) -> None:
         """Atomically append one completed record."""
-        line = json.dumps(record_to_dict(record), default=_json_default) + "\n"
-        with self._lock, self.path.open("a") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append(record_to_dict(record))
 
     def load(self) -> dict[tuple[str, str], RunRecord]:
         """All journaled records, keyed by ``(algorithm, dataset)``.
@@ -571,18 +597,12 @@ class RunJournal:
         earlier attempt); torn or garbage lines are skipped.
         """
         out: dict[tuple[str, str], RunRecord] = {}
-        if not self.path.exists():
-            return out
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = record_from_dict(json.loads(line))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    continue
-                out[(record.algorithm, record.dataset)] = record
+        for entry in self._log.entries():
+            try:
+                record = record_from_dict(entry)
+            except (TypeError, ValueError):
+                continue
+            out[(record.algorithm, record.dataset)] = record
         return out
 
     def completed(self) -> dict[tuple[str, str], RunRecord]:
@@ -730,9 +750,11 @@ def _mp_context():
 
 def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
                  blocks, cost_model, validate) -> None:
-    """Subprocess entry point: run one cell attempt, ship the record back."""
+    """Subprocess entry point: run one cell attempt, ship ``(record,
+    events, metrics_delta)`` back (:func:`repro.obs.tracer.run_forwarded`)."""
     try:
-        record = execute_cell(
+        conn.send(run_forwarded(
+            execute_cell,
             algorithm,
             dataset,
             device=device,
@@ -741,8 +763,7 @@ def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
             max_blocks_simulated=blocks,
             cost_model=cost_model,
             validate=validate,
-        )
-        conn.send(record)
+        ))
     finally:
         conn.close()
 
@@ -769,9 +790,10 @@ def _attempt_cell(
 ) -> RunRecord:
     """One attempt in a dedicated, killable subprocess.
 
-    Returns the worker's record; a worker that dies without reporting
-    (hard exit, segfault) yields a ``failed`` record, and one that outlives
-    ``timeout_s`` is killed and surfaces as :class:`CellTimeout`.
+    Returns the worker's record, its telemetry already folded into this
+    process; a worker that dies without reporting (hard exit, segfault)
+    yields a ``failed`` record, and one that outlives ``timeout_s`` is
+    killed and surfaces as :class:`CellTimeout`.
     """
     ctx = _mp_context()
     recv, send = ctx.Pipe(duplex=False)
@@ -788,13 +810,14 @@ def _attempt_cell(
         while True:
             if recv.poll(0.02):
                 try:
-                    record = recv.recv()
+                    record, events, metrics_delta = recv.recv()
                 except (EOFError, OSError):
                     record = None
                 proc.join(timeout=5.0)
                 if proc.is_alive():  # pragma: no cover - lingering worker
                     _kill(proc)
                 if record is not None:
+                    absorb_forwarded(events, metrics_delta)
                     return record
                 return _failed_record(
                     algorithm, dataset, device,
@@ -893,7 +916,7 @@ def run_cell_resilient(
                     },
                 },
             )
-        return absorb_forwarded(record)
+        return record
     get_tracer().error(
         "cell_exhausted",
         algorithm=_algorithm_name(algorithm),
@@ -976,9 +999,6 @@ def run_cells_resilient(
 
     def _finish(i: int, record: RunRecord, *, fresh: bool) -> None:
         nonlocal done
-        # Worker telemetry (if any survived this far) must never reach the
-        # journal: pop and re-emit it locally before persisting the record.
-        absorb_forwarded(record)
         with lock:
             results[i] = record
             done += 1
@@ -994,7 +1014,7 @@ def run_cells_resilient(
     if pending:
         # Generate every replica once in the parent: forked attempt
         # subprocesses inherit the warm memory cache, spawned ones hit the
-        # disk cache (see parallel.run_cells for the same trick).
+        # disk cache, as in parallel.run_cells.
         warm_cache(
             sorted({cells[i][1] for i in pending}), orderings=(ordering,), strict=False
         )

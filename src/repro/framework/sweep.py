@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from ..algorithms.base import get_algorithm
 from ..gpu.device import SIM_V100, DeviceSpec
 from ..graph.datasets import load_oriented
+from .parallel import parallel_starmap
 from .runner import DEFAULT_MAX_BLOCKS
 
 __all__ = ["SweepPoint", "sweep_config", "best_config"]
@@ -71,7 +72,8 @@ def sweep_config(
     ``grid`` maps config keys (e.g. ``chunk`` for GroupTC, ``edges_per_warp``
     for TriCore) to candidate values.  Returns one :class:`SweepPoint` per
     combination, in itertools.product order.  ``jobs != 1`` fans the grid
-    points over worker processes (``0`` = one per core); order is preserved.
+    points over worker processes (``0`` = one per core) through
+    :func:`~repro.framework.parallel.parallel_starmap`; order is preserved.
     """
     keys = list(grid)
     configs = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
@@ -79,10 +81,6 @@ def sweep_config(
         (algorithm, dataset, config, device, ordering, max_blocks_simulated)
         for config in configs
     ]
-    if jobs == 1 or len(argtuples) <= 1:
-        return [_sweep_point(*args) for args in argtuples]
-    from .parallel import parallel_starmap
-
     load_oriented(dataset, ordering)  # warm the shared replica cache once
     return parallel_starmap(_sweep_point, argtuples, jobs=jobs)
 

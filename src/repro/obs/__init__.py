@@ -44,8 +44,8 @@ from .tracer import (
     Tracer,
     absorb_forwarded,
     configure,
-    forwarding_buffer,
     get_tracer,
+    run_forwarded,
     set_tracer,
     telemetry_path,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "collecting",
     "configure",
     "configure_metrics",
-    "forwarding_buffer",
     "get_flight_recorder",
     "get_metrics",
     "get_tracer",
@@ -81,6 +80,7 @@ __all__ = [
     "install_flight_recorder",
     "maybe_dump",
     "merge_snapshots",
+    "run_forwarded",
     "set_metrics",
     "set_tracer",
     "telemetry_path",

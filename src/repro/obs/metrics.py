@@ -24,11 +24,11 @@ every process uses the same implicit bucket boundaries.  Quantiles estimated
 from buckets are within a factor of 2 of the true value, tightened by the
 recorded exact min/max.
 
-Worker → parent propagation rides the PR 5 telemetry forwarding path: cell
-workers attach a *delta* snapshot (observations made during the cell, not the
-process lifetime — pool workers persist across cells and would double-count
-otherwise) to the returned record's ``extra``; the parent's
-``absorb_forwarded`` folds foreign-pid deltas into the live registry.
+Worker → parent propagation rides the telemetry forwarding path: a worker
+returns a *delta* snapshot (observations made during the call, not the
+process lifetime — pool workers persist across calls and would double-count
+otherwise) next to each result, and the parent's ``absorb_forwarded`` folds
+foreign-pid deltas into the live registry.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 __all__ = [
     "METRICS_SCHEMA",
     "METRICS_ENV",
-    "METRICS_FORWARD_KEY",
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
@@ -62,10 +61,6 @@ METRICS_SCHEMA = 1
 #: Environment toggle: "1" enables the process-wide registry (propagated to
 #: worker processes by :func:`configure_metrics`, mirroring ``REPRO_LOG``).
 METRICS_ENV = "REPRO_METRICS"
-
-#: ``record.extra`` key carrying a worker's delta snapshot back to the parent
-#: (sibling of the tracer's ``FORWARD_KEY``).
-METRICS_FORWARD_KEY = "metrics_delta"
 
 #: Bucket key for non-positive observations (durations clamp here).
 _ZERO_BUCKET = "z"
@@ -478,18 +473,11 @@ def delta_since(baseline: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any
     return delta
 
 
-def absorb_delta(extra: Optional[Dict[str, Any]]) -> None:
-    """Fold a foreign-pid delta stashed under ``METRICS_FORWARD_KEY``.
+def absorb_delta(snap: Optional[Mapping[str, Any]]) -> None:
+    """Fold a worker's delta snapshot into the live registry.
 
-    Pops the key from ``extra`` (a record's mutable extra dict) so the
-    payload is merged exactly once.  Same-pid deltas are dropped: the serial
-    path already counted them in-place.
+    Same-pid deltas are dropped: work done in this process was already
+    counted in place.
     """
-    if not extra:
-        return
-    snap = extra.pop(METRICS_FORWARD_KEY, None)
-    if not snap or not _REGISTRY.enabled:
-        return
-    if snap.get("pid") == os.getpid():
-        return
-    _REGISTRY.merge(snap)
+    if snap and _REGISTRY.enabled and snap.get("pid") != os.getpid():
+        _REGISTRY.merge(snap)

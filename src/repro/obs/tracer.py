@@ -13,8 +13,8 @@ events.  Events fan out to *sinks*:
 * :class:`StderrSink` — a human ``[HH:MM:SS] LEVEL message key=value``
   format for interactive progress;
 * :class:`BufferSink` — an in-memory list, used by worker processes to
-  forward their events to the parent over the existing result channel
-  (see :func:`forwarding_buffer` / :func:`absorb_forwarded`).
+  forward their events to the parent alongside each result
+  (see :func:`run_forwarded` / :func:`absorb_forwarded`).
 
 The global tracer starts disabled; :func:`configure` (driven by
 ``REPRO_LOG`` or the CLI's ``--log-level``/``--quiet``/``--verbose``)
@@ -54,8 +54,8 @@ __all__ = [
     "absorb_forwarded",
     "configure",
     "env_level",
-    "forwarding_buffer",
     "get_tracer",
+    "run_forwarded",
     "set_tracer",
     "telemetry_path",
 ]
@@ -69,10 +69,6 @@ LOG_ENV = "REPRO_LOG"
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40, "off": 100}
 _LEVEL_NAMES = {v: k for k, v in LEVELS.items()}
-
-#: Key under which workers forward buffered events inside
-#: ``RunRecord.extra`` (popped by the parent before journaling).
-FORWARD_KEY = "telemetry_events"
 
 #: Shared compact encoder — ``json.dumps`` with keyword options builds a
 #: fresh ``JSONEncoder`` per call, which is measurable on the emit path.
@@ -114,7 +110,7 @@ class JsonlSink:
     Only the process that opened the file writes to it: forked workers
     inherit the handle, and interleaved buffered appends from several
     processes would tear lines, so events from other pids are dropped here
-    and travel through :func:`forwarding_buffer` instead.
+    and travel through :func:`run_forwarded` instead.
     """
 
     #: Flush every N events rather than per line: telemetry is diagnostic,
@@ -449,68 +445,40 @@ def configure(
 # --------------------------------------------------------------------------
 
 
-class forwarding_buffer:
-    """Context manager buffering this process's events for forwarding.
+def run_forwarded(fn, *args, **kwargs) -> tuple:
+    """Child side of a process boundary: call ``fn`` and capture telemetry.
 
-    Used inside pool/subprocess workers: events emitted while the buffer
-    is open are collected (in addition to any local sinks) and the caller
-    ships ``buf.events`` back over its result channel.  When telemetry is
-    disabled (env level ``off`` and no active sinks) this is a no-op and
-    ``events`` stays empty.
-
-    Also brackets the process-wide metrics registry: on exit,
-    ``metrics_delta`` holds a mergeable snapshot of everything the registry
-    observed while the buffer was open (None when metrics are disabled or
-    nothing changed), ready for :func:`attach_forwarded`.
+    Returns ``(result, events, metrics_delta)``: the events this process
+    emitted during the call (empty when telemetry is off: env level ``off``
+    and no active sinks) and a mergeable delta of the metrics registry
+    (None when metrics are disabled or nothing changed).  A pool worker
+    serves many calls, so the delta covers this call only.  The parent
+    folds the pair with :func:`absorb_forwarded`.
     """
-
-    def __init__(self):
-        self.events: list[dict] = []
-        self.metrics_delta: dict | None = None
-        self._sink: BufferSink | None = None
-        self._metrics_baseline: dict | None = None
-
-    def __enter__(self) -> "forwarding_buffer":
-        self._metrics_baseline = _metrics.capture_baseline()
-        tracer = get_tracer()
-        level = env_level()
-        if level == "off" and not tracer.sinks:
-            return self
-        self._sink = BufferSink(level="debug" if level == "off" else level)
-        self.events = self._sink.events
-        tracer.add_sink(self._sink)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.metrics_delta = _metrics.delta_since(self._metrics_baseline)
-        if self._sink is not None:
-            get_tracer().remove_sink(self._sink)
-            self._sink = None
+    baseline = _metrics.capture_baseline()
+    tracer = get_tracer()
+    level = env_level()
+    sink = None
+    if level != "off" or tracer.sinks:
+        sink = BufferSink(level="debug" if level == "off" else level)
+        tracer.add_sink(sink)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        if sink is not None:
+            tracer.remove_sink(sink)
+    return result, sink.events if sink is not None else [], _metrics.delta_since(baseline)
 
 
-def attach_forwarded(record, events: list[dict], metrics: dict | None = None):
-    """Stash buffered worker events (and a metrics delta) on ``record.extra``."""
-    if events:
-        record.extra[FORWARD_KEY] = events
-    if metrics:
-        record.extra[_metrics.METRICS_FORWARD_KEY] = metrics
-    return record
+def absorb_forwarded(events: list[dict], metrics_delta: dict | None) -> None:
+    """Parent side of a process boundary: fold a worker's telemetry once.
 
-
-def absorb_forwarded(record):
-    """Pop forwarded events off a record and re-emit them locally.
-
-    Called by the parent as each worker result arrives — before the record
-    reaches the journal or any progress callback, so forwarded telemetry
-    never pollutes persisted run state.  Events stamped with this process's
-    own pid were produced in-process (serial path) and already reached the
-    local sinks when they happened; only cross-process events re-emit.
+    Events re-emit through the local sinks marked ``forwarded``; events
+    stamped with this process's own pid already reached them when they
+    happened and are skipped.  The metrics delta merges unless it, too,
+    came from this process (:func:`repro.obs.metrics.absorb_delta`).
     """
-    extra = getattr(record, "extra", None)
-    if not extra:
-        return record
-    _metrics.absorb_delta(extra)
-    events = extra.pop(FORWARD_KEY, None)
+    _metrics.absorb_delta(metrics_delta)
     if events:
         tracer = get_tracer()
         pid = os.getpid()
@@ -519,4 +487,3 @@ def absorb_forwarded(record):
                 continue
             event.setdefault("forwarded", True)
             tracer.emit_raw(event)
-    return record

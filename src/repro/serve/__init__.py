@@ -10,15 +10,12 @@
 * :mod:`~repro.serve.server` — the threaded daemon multiplexing client
   connections onto one :class:`repro.framework.scheduler.JobScheduler`.
 * :mod:`~repro.serve.client` — blocking client library used by the load
-  generator, the tests, and external tooling.
-* :mod:`~repro.serve.loadgen` — concurrent mixed-size load generator
-  reporting decision/completion latency percentiles.
+  generator (``benchmarks/loadgen.py``), the tests, and external tooling.
 """
 
 from .admission import AdmissionController, AdmissionPolicy, Decision, estimate_cost
 from .client import JobReceipt, ServeClient, ServeConnectionClosed, ServeTimeout, wait_until_ready
 from .journal import JobJournal, serve_root
-from .loadgen import LoadReport, run_load
 from .protocol import (
     FrameError,
     FrameReader,
@@ -39,7 +36,6 @@ __all__ = [
     "FrameReader",
     "JobJournal",
     "JobReceipt",
-    "LoadReport",
     "MAX_FRAME_BYTES",
     "PROTOCOL_SCHEMA",
     "RequestError",
@@ -51,7 +47,6 @@ __all__ = [
     "encode_frame",
     "estimate_cost",
     "parse_request",
-    "run_load",
     "serve_root",
     "wait_until_ready",
 ]

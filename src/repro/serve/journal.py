@@ -16,19 +16,18 @@ eaten an in-flight attempt), but it *terminals* exactly once per journal
 — which is the guarantee clients can build on, and what the kill -9
 chaos drill verifies against client-side receipts.
 
-Torn tails (the crash tearing the final line) parse as garbage and are
-skipped, exactly like :class:`repro.framework.resilience.RunJournal`.
+Both kinds go through :class:`repro.framework.resilience.AppendLog`, the
+primitive under the matrix :class:`~repro.framework.resilience.RunJournal`
+too: a torn tail (the crash tearing the final line) is skipped on load and
+ended before the next append.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from pathlib import Path
 
-from ..framework.resilience import _json_default
+from ..framework.resilience import AppendLog
 from ..graph import io as gio
 from ..obs.metrics import get_metrics
 
@@ -52,15 +51,11 @@ class JobJournal:
         self.dir = (Path(root) if root is not None else serve_root()) / server_id
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / "jobs.jsonl"
-        self._lock = threading.Lock()
+        self._log = AppendLog(self.path)
 
     def _append(self, entry: dict) -> None:
-        line = json.dumps(entry, default=_json_default) + "\n"
         t0 = time.perf_counter()
-        with self._lock, self.path.open("a") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append(entry)
         registry = get_metrics()
         if registry.enabled:
             registry.inc(f"journal_{entry.get('kind', 'entry')}_records")
@@ -96,23 +91,13 @@ class JobJournal:
         """
         accepted: dict[str, dict] = {}
         terminals: dict[str, list[dict]] = {}
-        if not self.path.exists():
-            return accepted, terminals
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(entry, dict) or "job" not in entry:
-                    continue
-                if entry.get("kind") == "accepted":
-                    accepted[entry["job"]] = entry
-                elif entry.get("kind") == "terminal":
-                    terminals.setdefault(entry["job"], []).append(entry)
+        for entry in self._log.entries():
+            if "job" not in entry:
+                continue
+            if entry.get("kind") == "accepted":
+                accepted[entry["job"]] = entry
+            elif entry.get("kind") == "terminal":
+                terminals.setdefault(entry["job"], []).append(entry)
         return accepted, terminals
 
     def pending(self) -> dict[str, dict]:

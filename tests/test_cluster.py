@@ -38,6 +38,7 @@ from repro.gpu.cluster import (
 from repro.gpu.device import SIM_V100
 from repro.graph import clean_edges, oriented_csr
 from repro.graph.generators import complete_graph
+from repro.obs.metrics import METRICS_ENV, MetricsRegistry, set_metrics
 from repro.obs.tracer import BufferSink, Tracer, set_tracer
 from repro.verify.fixtures import fixture_csr
 from repro.verify.invariants import check_cluster_conservation
@@ -204,12 +205,26 @@ class TestRunCluster:
                              max_blocks_simulated=BLOCKS)
         assert record.ok and record.triangles == expect
 
-    def test_parallel_fanout_equals_serial(self, powerlaw):
-        serial = run_cluster("Polak", powerlaw, devices=4, max_blocks_simulated=BLOCKS,
-                             jobs=1)
-        fanned = run_cluster("Polak", powerlaw, devices=4, max_blocks_simulated=BLOCKS,
-                             jobs=2)
+    def test_parallel_fanout_equals_serial(self, powerlaw, monkeypatch):
+        """Same record at jobs=1 and jobs=2, and the workers' launch counts
+        reach the parent registry exactly once."""
+        monkeypatch.setenv(METRICS_ENV, "1")  # spawned workers enable too
+
+        def run(jobs):
+            registry = MetricsRegistry(enabled=True)
+            old = set_metrics(registry)
+            try:
+                record = run_cluster("Polak", powerlaw, devices=4,
+                                     max_blocks_simulated=BLOCKS, jobs=jobs)
+            finally:
+                set_metrics(old)
+            return record, registry.get("sim_launches")
+
+        serial, serial_launches = run(1)
+        fanned, fanned_launches = run(2)
         assert fanned == serial
+        assert serial_launches > 0
+        assert fanned_launches == serial_launches
 
     def test_failed_partition_marks_whole_record(self, powerlaw, monkeypatch):
         def boom(name):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.framework.parallel import run_cells
 from repro.obs.metrics import (
     METRICS_ENV,
-    METRICS_FORWARD_KEY,
     METRICS_SCHEMA,
     MetricsRegistry,
     _bucket_key,
@@ -35,7 +34,7 @@ from repro.obs.metrics import (
     snapshot_is_empty,
     to_prometheus,
 )
-from repro.obs.tracer import BufferSink, Tracer, set_tracer
+from repro.obs.tracer import BufferSink, Tracer, absorb_forwarded, set_tracer
 
 CELLS = [("Polak", "As-Caida"), ("GroupTC", "As-Caida")]
 BLOCKS = 4
@@ -207,13 +206,10 @@ class TestSnapshotAlgebra:
     def test_absorb_delta_skips_same_pid(self, registry):
         snap = {"schema": METRICS_SCHEMA, "pid": os.getpid(),
                 "counters": {"x": 1.0}, "gauges": {}, "hists": {}}
-        absorb_delta({METRICS_FORWARD_KEY: snap})
-        assert registry.get("x") == 0.0  # serial path already counted it
-        foreign = dict(snap, pid=os.getpid() + 1)
-        extra = {METRICS_FORWARD_KEY: foreign}
-        absorb_delta(extra)
-        assert registry.get("x") == 1.0
-        assert METRICS_FORWARD_KEY not in extra  # merged exactly once
+        absorb_delta(snap)
+        assert registry.get("x") == 0.0  # in-process work already counted
+        absorb_forwarded([], dict(snap, pid=os.getpid() + 1))
+        assert registry.get("x") == 1.0  # a foreign delta merges once
 
 
 # -- worker forwarding: jobs=1 == jobs=N ------------------------------------

@@ -14,7 +14,9 @@ from contextlib import nullcontext
 import pytest
 
 from repro.framework.cli import main
+from repro.framework.compare import run_matrix
 from repro.framework.parallel import run_cells
+from repro.framework.resilience import RunJournal
 from repro.gpu.engine import event_oracle
 from repro.gpu.metrics import ProfileMetrics
 from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
@@ -22,11 +24,11 @@ from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
 from repro.obs.session import profile_run
 from repro.obs.timeline import build_timeline
 from repro.obs.tracer import (
-    FORWARD_KEY,
     TELEMETRY_SCHEMA,
     BufferSink,
     JsonlSink,
     Tracer,
+    absorb_forwarded,
     set_tracer,
 )
 
@@ -253,12 +255,17 @@ class TestTimeline:
 # -- worker forwarding -------------------------------------------------------
 
 
+def _carries_telemetry(record) -> bool:
+    text = json.dumps(record.extra, default=str)
+    return "span_begin" in text or '"pid"' in text
+
+
 class TestForwarding:
     def test_parallel_workers_forward_events(self, tracer_buf):
         cells = [("Polak", "As-Caida"), ("Bisson", "As-Caida")]
         records = run_cells(cells, jobs=2, max_blocks_simulated=4)
         assert [r.status for r in records] == ["ok", "ok"]
-        assert all(FORWARD_KEY not in r.extra for r in records)
+        assert not any(_carries_telemetry(r) for r in records)
         forwarded = [e for e in tracer_buf.events if e.get("forwarded")]
         assert forwarded, "worker events never reached the parent tracer"
         assert {e["name"] for e in forwarded} >= {"cell", "launch"}
@@ -267,12 +274,27 @@ class TestForwarding:
     def test_serial_path_emits_without_duplicates(self, tracer_buf):
         records = run_cells([("Polak", "As-Caida")], jobs=1, max_blocks_simulated=4)
         assert records[0].status == "ok"
-        assert FORWARD_KEY not in records[0].extra
+        assert not _carries_telemetry(records[0])
         cell_ends = [
             e for e in tracer_buf.events
             if e.get("event") == "span_end" and e.get("name") == "cell"
         ]
         assert len(cell_ends) == 1
+
+    def test_journaled_records_carry_no_telemetry(self, tracer_buf, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        m = run_matrix(["Polak"], ["As-Caida"], max_blocks_simulated=4, run_id="fwd")
+        assert m.records[0].ok and not _carries_telemetry(m.records[0])
+        assert [e for e in tracer_buf.events if e.get("forwarded") and e.get("name") == "cell"]
+        journaled = RunJournal("fwd").load()
+        assert not any(_carries_telemetry(r) for r in journaled.values())
+
+    def test_same_pid_events_are_not_reemitted(self, tracer_buf):
+        event = {"event": "log", "msg": "x", "level": 20, "pid": os.getpid()}
+        absorb_forwarded([event], None)
+        assert tracer_buf.events == []
+        absorb_forwarded([dict(event, pid=os.getpid() + 1)], None)
+        assert [e["forwarded"] for e in tracer_buf.events] == [True]
 
 
 # -- profile CLI -------------------------------------------------------------

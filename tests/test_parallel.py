@@ -3,12 +3,9 @@
 import pytest
 
 from repro.framework import run_matrix
-from repro.framework.parallel import (
-    CRASH_ENV,
-    default_jobs,
-    parallel_starmap,
-    run_cells,
-)
+from repro.framework.parallel import default_jobs, parallel_starmap, run_cells
+from repro.framework.resilience import CHAOS_ENV
+from repro.obs.tracer import BufferSink, Tracer, set_tracer
 
 ALGS = ("Polak", "TRUST", "GroupTC")
 SMALL = ("As-Caida", "P2p-Gnutella31", "Email-EuAll", "Soc-Slashdot0922")
@@ -27,6 +24,29 @@ class TestEquivalence:
         m = run_matrix(ALGS, SMALL[:2], max_blocks_simulated=4, jobs=2)
         expected = [(alg, ds) for ds in SMALL[:2] for alg in ALGS]
         assert [(r.algorithm, r.dataset) for r in m.records] == expected
+
+    def test_injected_fault_is_identical_at_any_jobs(self, monkeypatch):
+        """jobs=1 runs the same cell body as the pool: a chaos fault fails
+        the same cell, and every cell opens exactly one ``cell`` span."""
+        monkeypatch.setenv(CHAOS_ENV, "raise:Polak/As-Caida")
+        monkeypatch.setenv("REPRO_LOG", "info")
+        out = {}
+        for jobs in (1, 2):
+            buf = BufferSink()
+            old = set_tracer(Tracer([buf]))
+            try:
+                m = run_matrix(["Polak", "TRUST"], ["As-Caida"], max_blocks_simulated=4, jobs=jobs)
+            finally:
+                set_tracer(old)
+            spans = [
+                (e["algorithm"], e["dataset"]) for e in buf.events
+                if e.get("event") == "span_end" and e.get("name") == "cell"
+            ]
+            assert sorted(spans) == [("Polak", "As-Caida"), ("TRUST", "As-Caida")]
+            out[jobs] = m.records
+        assert out[1] == out[2]
+        assert [r.status for r in out[1]] == ["failed", "ok"]
+        assert "injected crash" in out[1][0].error
 
     def test_jobs_zero_means_auto(self):
         m = run_matrix(ALGS[:2], SMALL[:2], max_blocks_simulated=4, jobs=0)
@@ -87,7 +107,7 @@ class TestProgress:
 
 class TestCrashCapture:
     def test_worker_exception_becomes_failed_record(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "TRUST/As-Caida")
+        monkeypatch.setenv(CHAOS_ENV, "TRUST/As-Caida")
         m = run_matrix(ALGS, SMALL[:2], max_blocks_simulated=4, jobs=2)
         bad = m.cell("TRUST", "As-Caida")
         assert bad.status == "failed"
@@ -99,7 +119,7 @@ class TestCrashCapture:
         """A worker process dying outright (the BrokenProcessPool path) fails
         only its own cell: collateral cells stranded on the broken pool are
         retried in isolation, and the matrix completes with full shape."""
-        monkeypatch.setenv(CRASH_ENV, "exit:TRUST/As-Caida")
+        monkeypatch.setenv(CHAOS_ENV, "exit:TRUST/As-Caida")
         m = run_matrix(ALGS, SMALL[:2], max_blocks_simulated=4, jobs=2)
         assert len(m.records) == 6
         bad = m.cell("TRUST", "As-Caida")
@@ -109,7 +129,7 @@ class TestCrashCapture:
         assert all(r.ok for r in others)
 
     def test_serial_path_also_captures(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "Polak/As-Caida")
+        monkeypatch.setenv(CHAOS_ENV, "Polak/As-Caida")
         records = run_cells([("Polak", "As-Caida")], jobs=1, max_blocks_simulated=4)
         assert records[0].status == "failed"
 

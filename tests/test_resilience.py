@@ -31,7 +31,6 @@ from repro.framework.resilience import (
     CHAOS_ENV,
     CHAOS_SEED_ENV,
     HANG_SECONDS_ENV,
-    LEGACY_CRASH_ENV,
     SLOW_SCALE_ENV,
     ChaosInjected,
     chaos_from_env,
@@ -44,11 +43,12 @@ from repro.framework.resilience import (
 )
 from repro.graph import io as gio
 from repro.graph.datasets import load_edges, load_oriented, load_undirected
+from repro.serve import JobJournal
 
 ALGS = ("Polak", "TRUST")
 DS = "As-Caida"
 
-ALL_CHAOS_VARS = (CHAOS_ENV, CHAOS_SEED_ENV, HANG_SECONDS_ENV, SLOW_SCALE_ENV, LEGACY_CRASH_ENV)
+ALL_CHAOS_VARS = (CHAOS_ENV, CHAOS_SEED_ENV, HANG_SECONDS_ENV, SLOW_SCALE_ENV)
 
 #: CI's chaos job matrixes REPRO_CHAOS_SEED over several values; capture it
 #: before the autouse fixture scrubs the environment so the probabilistic
@@ -126,9 +126,8 @@ class TestChaosParse:
         with pytest.raises(ValueError, match="bad chaos field"):
             parse_chaos("exit:nonsense")
 
-    def test_from_env_combines_both_hooks(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "hang:p=0.1")
-        monkeypatch.setenv(LEGACY_CRASH_ENV, "TRUST/As-Caida")
+    def test_from_env_combines_specs(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV, "hang:p=0.1;TRUST/As-Caida")
         monkeypatch.setenv(CHAOS_SEED_ENV, "7")
         specs = chaos_from_env()
         assert {s.mode for s in specs} == {"hang", "raise"}
@@ -194,13 +193,30 @@ class TestJournal:
         journal.append(_ok_record())
         assert journal.load()[("Polak", DS)].status == "ok"
 
-    def test_torn_tail_skipped(self, tmp_path):
-        journal = RunJournal("r1", root=tmp_path)
-        journal.append(_ok_record("Polak"))
-        journal.append(_ok_record("TRUST"))
+    @pytest.mark.parametrize("journal_type", [RunJournal, JobJournal])
+    def test_torn_tail_skipped(self, tmp_path, journal_type):
+        """A torn final line is skipped, and the next append still lands."""
+        journal = journal_type("r1", root=tmp_path)
+        if journal_type is RunJournal:
+            def append(alg):
+                journal.append(_ok_record(alg))
+
+            def keys():
+                return {alg for alg, _ in journal.load()}
+        else:
+            def append(alg):
+                journal.accepted(alg, {"algorithm": alg, "dataset": DS})
+
+            def keys():
+                return set(journal.load()[0])
+        append("Polak")
+        append("TRUST")
         with journal.path.open("a") as fh:
             fh.write('{"algorithm": "GroupTC", "data')  # torn final line
-        assert set(journal.load()) == {("Polak", DS), ("TRUST", DS)}
+        assert keys() == {"Polak", "TRUST"}
+        append("Hu")
+        assert keys() == {"Polak", "TRUST", "Hu"}
+        assert journal_type("r1", root=tmp_path).load() == journal.load()
 
     def test_completed_excludes_failed(self, tmp_path):
         journal = RunJournal("r1", root=tmp_path)

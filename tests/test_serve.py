@@ -24,7 +24,6 @@ import pytest
 from repro.framework.resilience import (
     CHAOS_ENV,
     KILL_MIDJOB_DELAY_ENV,
-    LEGACY_CRASH_ENV,
     RetryPolicy,
     set_chaos_kill_budget,
 )
@@ -45,7 +44,7 @@ ALG, DS = "GroupTC", "As-Caida"
 @pytest.fixture(autouse=True)
 def tmp_cache(tmp_path, monkeypatch):
     """Isolated cache (journal + replicas) and no ambient chaos."""
-    for var in (CHAOS_ENV, LEGACY_CRASH_ENV, SLOW_CLIENT_ENV,
+    for var in (CHAOS_ENV, SLOW_CLIENT_ENV,
                 KILL_MIDJOB_DELAY_ENV, "REPRO_CHAOS_SEED"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

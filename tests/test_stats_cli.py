@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.framework.cli import main
-from repro.framework.resilience import CHAOS_ENV, LEGACY_CRASH_ENV
+from repro.framework.resilience import CHAOS_ENV
 from repro.obs.flightrec import uninstall_flight_recorder
 from repro.obs.metrics import METRICS_ENV, MetricsRegistry, set_metrics
 from repro.obs.statsview import latest_dir_snapshot, render_stats
@@ -29,7 +29,7 @@ ALG, DS = "Polak", "As-Caida"
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
     """Fresh cache dir, fresh registry, no chaos, recorder cleaned up."""
-    for var in (CHAOS_ENV, LEGACY_CRASH_ENV, METRICS_ENV, "REPRO_LOG"):
+    for var in (CHAOS_ENV, METRICS_ENV, "REPRO_LOG"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     reg = MetricsRegistry(enabled=False)
