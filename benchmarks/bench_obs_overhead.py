@@ -1,16 +1,15 @@
 """Telemetry overhead: the observability tax must stay near-free.
 
-Runs the same small comparison matrix four ways — telemetry off
-(baseline), the metrics registry alone (``REPRO_METRICS=1`` with
-telemetry off: counters/gauges/histograms recording, no event stream),
-telemetry at info with a JSONL sink (the ``--log-level info --run-id
-...`` configuration), and the full profiler (debug telemetry +
+Runs the same small comparison matrix three ways — telemetry off
+(baseline), telemetry at info with a JSONL sink (the ``--log-level info
+--run-id ...`` configuration), and the full profiler (debug telemetry +
 source-line attribution + launch capture) — and writes the ratios to
-``BENCH_obs.json``.  CI gates on the info-level and metrics-enabled
-ratios: instrumented execution must cost at most 1.15x the
-uninstrumented run, because every instrumentation point is supposed to
-collapse to one attribute load and an integer compare while disabled and
-a dict update under an uncontended lock while enabled.
+``BENCH_obs.json``.  CI gates on the info-level ratio: instrumented
+execution must cost at most 1.15x the uninstrumented run, because every
+disabled instrumentation point collapses to one attribute load and an
+integer compare, and an info event is a handful of dict builds plus one
+JSON line.  The metrics registry always counts, so its cost is inside
+every configuration, the baseline included.
 
 The attribution ratio is recorded for context, not gated: frame
 inspection per issue step is an opt-in profiling cost, not a tax on
@@ -28,7 +27,6 @@ from pathlib import Path
 from repro.framework.compare import run_matrix
 from repro.gpu.trace import reset_trace_cache
 from repro.obs.attribution import capturing_launches, collecting
-from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.tracer import Tracer, configure, set_tracer
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
@@ -74,15 +72,10 @@ def test_obs_overhead(benchmark, tmp_path, monkeypatch):
         # Interleave the configurations round-robin so slow machine drift
         # (thermal throttling, background load) biases neither side of the
         # gated ratio; min-of-ROUNDS then drops the noisy samples.
-        off = metrics = info = prof = float("inf")
+        off = info = prof = float("inf")
         for _ in range(ROUNDS):
             set_tracer(Tracer())  # telemetry off
             off = min(off, _once(_matrix))
-            old_registry = set_metrics(MetricsRegistry(enabled=True))
-            try:  # registry on, telemetry still off
-                metrics = min(metrics, _once(_matrix))
-            finally:
-                set_metrics(old_registry)
             configure(level="info", jsonl=str(tmp_path / "telemetry.jsonl"), stderr=False)
             info = min(info, _once(_matrix))
             configure(
@@ -90,7 +83,6 @@ def test_obs_overhead(benchmark, tmp_path, monkeypatch):
             )
             prof = min(prof, _once(profiled))
         timings["off_s"] = off
-        timings["metrics_s"] = metrics
         timings["info_jsonl_s"] = info
         timings["profiled_s"] = prof
 
@@ -100,7 +92,6 @@ def test_obs_overhead(benchmark, tmp_path, monkeypatch):
         set_tracer(Tracer())
         monkeypatch.delenv("REPRO_LOG", raising=False)
 
-    ratio_metrics = timings["metrics_s"] / timings["off_s"]
     ratio_info = timings["info_jsonl_s"] / timings["off_s"]
     ratio_profiled = timings["profiled_s"] / timings["off_s"]
     payload = {
@@ -108,10 +99,8 @@ def test_obs_overhead(benchmark, tmp_path, monkeypatch):
         "datasets": len(DSETS),
         "blocks": BLOCKS,
         "off_s": round(timings["off_s"], 4),
-        "metrics_s": round(timings["metrics_s"], 4),
         "info_jsonl_s": round(timings["info_jsonl_s"], 4),
         "profiled_s": round(timings["profiled_s"], 4),
-        "overhead_metrics": round(ratio_metrics, 3),
         "overhead_info": round(ratio_info, 3),
         "overhead_profiled": round(ratio_profiled, 3),
     }
@@ -123,8 +112,4 @@ def test_obs_overhead(benchmark, tmp_path, monkeypatch):
     assert ratio_info <= 1.15, (
         f"info-level telemetry costs {ratio_info:.2f}x the uninstrumented run "
         "(budget: 1.15x)"
-    )
-    assert ratio_metrics <= 1.15, (
-        f"enabled metrics registry costs {ratio_metrics:.2f}x the "
-        "uninstrumented run (budget: 1.15x)"
     )

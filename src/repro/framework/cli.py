@@ -31,7 +31,7 @@ from ..gpu.device import get_device
 from ..graph.datasets import dataset_names, load_oriented
 from ..obs.attribution import LINE_FIELDS
 from ..obs.flightrec import install_flight_recorder, maybe_dump
-from ..obs.metrics import configure_metrics, metrics_enabled_from_env, to_prometheus
+from ..obs.metrics import to_prometheus
 from ..obs.tracer import LEVELS
 from ..obs.tracer import configure as configure_tracer
 from .compare import run_matrix
@@ -125,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check small/medium cells against the exact CPU "
         "reference; mismatches are quarantined as status=invalid",
-    )
-    p.add_argument(
-        "--metrics",
-        action="store_true",
-        help="enable the process-wide metrics registry (also: REPRO_METRICS=1); "
-        "counters ride telemetry snapshots and flight-recorder dumps",
     )
     log = p.add_mutually_exclusive_group()
     log.add_argument(
@@ -311,8 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     # and its telemetry stay side by side across interruptions.
     run_id = args.run_id or getattr(args, "resume", None)
     tracer = configure_tracer(level=level, run_id=run_id)
-    if args.metrics or metrics_enabled_from_env():
-        configure_metrics(True)
     # Crash flight recorder: a bounded ring of recent events plus the
     # latest metrics snapshot, dumped under .cache/runs/<run_id>/flightrec/
     # on unhandled exceptions, quarantine, worker death, and SIGTERM.

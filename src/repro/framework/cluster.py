@@ -285,16 +285,15 @@ def run_cluster(
         triangles = sum(p.triangles for p in parts) + plan.correction
         cluster_time = max((p.device_time_s for p in parts), default=0.0)
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc("cluster_runs")
-            registry.inc("cluster_partitions", len(parts))
-            if failed:
-                registry.inc("cluster_failed_partitions", len(failed))
-            registry.observe("cluster_time_s", cluster_time)
-            registry.observe(
-                "cluster_exchange_bytes",
-                sum(p.exchange_bytes for p in parts),
-            )
+        registry.inc("cluster_runs")
+        registry.inc("cluster_partitions", len(parts))
+        if failed:
+            registry.inc("cluster_failed_partitions", len(failed))
+        registry.observe("cluster_time_s", cluster_time)
+        registry.observe(
+            "cluster_exchange_bytes",
+            sum(p.exchange_bytes for p in parts),
+        )
         record = ClusterRecord(
             algorithm=alg_name,
             dataset=label,

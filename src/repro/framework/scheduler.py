@@ -251,9 +251,8 @@ class JobScheduler:
             self._cv.notify()
         self._emit("job_queued", job, {"priority": job.priority, "shed_level": job.shed_level})
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc("sched_jobs_submitted")
-            registry.gauge("sched_queue_depth", self.queue_depth())
+        registry.inc("sched_jobs_submitted")
+        registry.gauge("sched_queue_depth", self.queue_depth())
         return handle
 
     def queue_depth(self) -> int:
@@ -340,10 +339,9 @@ class JobScheduler:
             "shed_level": job.shed_level,
         })
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc("sched_jobs_started")
-            registry.observe("sched_queue_wait_s", handle.started_at - handle.submitted_at)
-            registry.gauge("sched_queue_depth", self.queue_depth())
+        registry.inc("sched_jobs_started")
+        registry.observe("sched_queue_wait_s", handle.started_at - handle.submitted_at)
+        registry.gauge("sched_queue_depth", self.queue_depth())
         return self._execute_supervised(handle)
 
     def _terminal_failed(self, job: CellJob, error: str) -> RunRecord:
@@ -476,13 +474,12 @@ class JobScheduler:
             "duration_s": round(handle.finished_at - (handle.started_at or handle.finished_at), 6),
         })
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc(f"sched_jobs_{record.status}")
-            registry.observe(
-                "sched_job_duration_s",
-                handle.finished_at - (handle.started_at or handle.finished_at),
-            )
-            registry.gauge("sched_queue_depth", self.queue_depth())
+        registry.inc(f"sched_jobs_{record.status}")
+        registry.observe(
+            "sched_job_duration_s",
+            handle.finished_at - (handle.started_at or handle.finished_at),
+        )
+        registry.gauge("sched_queue_depth", self.queue_depth())
         with self._cv:
             self._running -= 1
             self._completed += 1

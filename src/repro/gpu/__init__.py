@@ -65,7 +65,6 @@ from .sharedmem import (
 from .trace import (
     LaunchTrace,
     TraceCache,
-    TraceCacheStats,
     get_trace_cache,
     launch_fingerprint,
     reset_trace_cache,
@@ -99,7 +98,6 @@ __all__ = [
     "SharedMemoryOverflow",
     "ThreadCtx",
     "TraceCache",
-    "TraceCacheStats",
     "alu",
     "atomic_add_global",
     "atomic_add_shared",

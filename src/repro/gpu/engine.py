@@ -91,7 +91,6 @@ __all__ = [
     "replay_launch",
     "replay_launch_batch",
     "replay_line_profile",
-    "reset_stage_times",
     "simulate_vectorized",
     "stage_times",
 ]
@@ -885,37 +884,20 @@ def _device_caps(device) -> tuple[int, int]:
     return caps
 
 
-#: cumulative wall-clock per engine stage (see stage_times()).
-_STAGE_TIMES = {
-    "trace_load_s": 0.0,
-    "record_s": 0.0,
-    "replay_s": 0.0,
-    "counter_aggregation_s": 0.0,
-}
+#: engine stages; each one's wall-clock accumulates in the metrics registry
+#: as the float counter ``engine_<stage>``.
+_STAGES = ("trace_load_s", "record_s", "replay_s", "counter_aggregation_s")
 
 
 def stage_times() -> dict[str, float]:
     """Cumulative per-stage wall-clock of the vectorized engine: trace
     load (fingerprint + cache/disk fetch + store), record, replay (fused
     trace reductions + cache walks), and counter aggregation (totals →
-    :class:`ProfileMetrics`).  The benchmark harness resets and samples
-    these to make regressions attributable to a stage."""
-    return dict(_STAGE_TIMES)
-
-
-def reset_stage_times() -> None:
-    for k in _STAGE_TIMES:
-        _STAGE_TIMES[k] = 0.0
-
-
-def _stage_add(stage: str, dt: float) -> None:
-    """Accumulate one stage interval, mirrored into the metrics registry
-    (as ``engine_<stage>`` float counters) so live `repro stats` views and
-    worker-merged snapshots see per-stage time without a bench harness."""
-    _STAGE_TIMES[stage] += dt
+    :class:`ProfileMetrics`).  A view over the registry's ``engine_*``
+    counters, so worker time forwarded to this process is included; the
+    benchmark harness samples deltas to attribute regressions to a stage."""
     registry = get_metrics()
-    if registry.enabled:
-        registry.inc("engine_" + stage, dt)
+    return {stage: registry.get("engine_" + stage) for stage in _STAGES}
 
 
 def _launch_totals(trace: LaunchTrace, l1_cap: int, l2_cap: int) -> dict:
@@ -996,7 +978,7 @@ def replay_launch_batch(traces, device) -> list[ProfileMetrics]:
         blocks = [t for tr in _dedupe_by_id(need) for t in tr.unique]
         _base_reductions_many(blocks)
         _l1_walk_many(blocks, l1_cap)
-        _stage_add("replay_s", perf_counter() - t0)
+        get_metrics().inc("engine_replay_s", perf_counter() - t0)
     t1 = perf_counter()
     out = []
     for tr in traces:
@@ -1004,7 +986,7 @@ def replay_launch_batch(traces, device) -> list[ProfileMetrics]:
         if key in tr._totals or tr.unique:
             local.add_counters(_launch_totals(tr, l1_cap, l2_cap))
         out.append(local)
-    _stage_add("counter_aggregation_s", perf_counter() - t1)
+    get_metrics().inc("engine_counter_aggregation_s", perf_counter() - t1)
     return out
 
 
@@ -1099,7 +1081,7 @@ def simulate_vectorized(
     trace = None
     if key is not None:
         trace = get_trace_cache().get(key)
-    _stage_add("trace_load_s", perf_counter() - t0)
+    get_metrics().inc("engine_trace_load_s", perf_counter() - t0)
     if trace is None:
         t0 = perf_counter()
         with tracer.span(
@@ -1115,7 +1097,7 @@ def simulate_vectorized(
                 shared_words=shared_words,
                 blocks=blocks,
             )
-        _stage_add("record_s", perf_counter() - t0)
+        get_metrics().inc("engine_record_s", perf_counter() - t0)
         recorded = True
     else:
         apply_writeback(trace, args)
@@ -1130,8 +1112,8 @@ def simulate_vectorized(
         if key is not None:
             get_trace_cache().put(key, trace)
         elif trace_cache_enabled():
-            get_trace_cache().stats.uncacheable += 1
-        _stage_add("trace_load_s", perf_counter() - t0)
+            get_metrics().inc("trace_cache_uncacheable")
+        get_metrics().inc("engine_trace_load_s", perf_counter() - t0)
     # Attribution and timeline capture fire on cache hits too: the trace
     # carries its own location table, so a warm hit costs one numpy pass.
     if active_collector() is not None:

@@ -140,12 +140,11 @@ def launch_kernel(
         # contribution — per-span deltas sum to cell totals by construction.
         span.set_counters(scaled.snapshot())
         registry = get_metrics()
-        if registry.enabled:
-            # Conservation basis for verify invariant #9: launch counters in
-            # registry snapshots must sum to the RunRecord totals.
-            registry.inc("sim_launches")
-            registry.inc("sim_global_load_requests", scaled.global_load_requests)
-            registry.inc("sim_warps_launched", scaled.warps_launched)
+        # Conservation basis for verify invariant #9: launch counters in
+        # registry snapshots must sum to the RunRecord totals.
+        registry.inc("sim_launches")
+        registry.inc("sim_global_load_requests", scaled.global_load_requests)
+        registry.inc("sim_warps_launched", scaled.warps_launched)
         collector = active_collector()
         if collector is not None:
             collector.add_launch(kernel_name, line_raw or {}, factor, scaled.snapshot())

@@ -36,7 +36,7 @@ import os
 import weakref
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
     "BlockTraceBuilder",
     "LaunchTrace",
     "TraceCache",
-    "TraceCacheStats",
     "OP_GLOBAL_LOAD",
     "OP_GLOBAL_STORE",
     "OP_GLOBAL_ATOMIC",
@@ -433,16 +432,8 @@ def _memory_budget_bytes() -> int:
     return int(mb * 1e6)
 
 
-@dataclass
-class TraceCacheStats:
-    """Observability for tests and the benchmark harness."""
-
-    hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    uncacheable: int = 0
-    evictions: int = 0
+#: TraceCache outcome counters; each is the registry counter ``trace_cache_<name>``.
+_CACHE_STATS = ("hits", "disk_hits", "misses", "stores", "uncacheable", "evictions")
 
 
 def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
@@ -605,7 +596,18 @@ class TraceCache:
         self._max_bytes = max_bytes
         self._entries: dict[str, LaunchTrace] = {}
         self._bytes = 0
-        self.stats = TraceCacheStats()
+
+    @property
+    def stats(self) -> SimpleNamespace:
+        """The ``trace_cache_*`` counters of the metrics registry, as ints.
+
+        A read of the process-wide registry, not a per-cache tally: tests
+        isolate by installing a fresh registry.
+        """
+        registry = get_metrics()
+        return SimpleNamespace(
+            **{f: int(registry.get("trace_cache_" + f)) for f in _CACHE_STATS}
+        )
 
     @property
     def max_bytes(self) -> int:
@@ -620,7 +622,6 @@ class TraceCache:
         if entry is not None:
             del self._entries[key]  # refresh recency
             self._entries[key] = entry
-            self.stats.hits += 1
             get_metrics().inc("trace_cache_hits")
             get_tracer().event("trace_cache", level="debug", status="hit", key=key)
             return entry
@@ -631,23 +632,20 @@ class TraceCache:
             if arrays is not None:
                 trace = _trace_from_arrays(arrays)
                 if trace is not None:
-                    self.stats.disk_hits += 1
                     get_metrics().inc("trace_cache_disk_hits")
                     self._insert(key, trace)
                     get_tracer().event(
                         "trace_cache", level="debug", status="disk_hit", key=key
                     )
                     return trace
-        self.stats.misses += 1
         get_metrics().inc("trace_cache_misses")
         get_tracer().event("trace_cache", level="debug", status="miss", key=key)
         return None
 
     def put(self, key: str, trace: LaunchTrace) -> None:
         if not trace.cacheable:
-            self.stats.uncacheable += 1
+            get_metrics().inc("trace_cache_uncacheable")
             return
-        self.stats.stores += 1
         get_metrics().inc("trace_cache_stores")
         get_tracer().event(
             "trace_cache", level="debug", status="store", key=key, nbytes=trace.nbytes
@@ -668,15 +666,8 @@ class TraceCache:
         while self._bytes > budget and len(self._entries) > 1:
             victim_key = next(iter(self._entries))
             self._bytes -= self._entries.pop(victim_key).nbytes
-            self.stats.evictions += 1
             get_metrics().inc("trace_cache_evictions")
             get_tracer().event("trace_cache", level="debug", status="evict", key=victim_key)
-
-    def clear(self) -> None:
-        """Drop the memory layer and reset stats (the disk layer persists)."""
-        self._entries.clear()
-        self._bytes = 0
-        self.stats = TraceCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -143,9 +143,8 @@ class TraceStore:
                 pass
             return
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc("tracestore_saves")
-            registry.inc("tracestore_bytes_written", len(buf) + len(digest))
+        registry.inc("tracestore_saves")
+        registry.inc("tracestore_bytes_written", len(buf) + len(digest))
 
     # -- read ---------------------------------------------------------------
 
@@ -208,9 +207,8 @@ class TraceStore:
                     mm, dtype=np.dtype(dtype), count=count, offset=data_start + off
                 )
             arrays["writeback"] = arrays["writeback"].reshape(-1, 3)
-            if registry.enabled:
-                registry.inc("tracestore_hits")
-                registry.inc("tracestore_bytes_mapped", n)
+            registry.inc("tracestore_hits")
+            registry.inc("tracestore_bytes_mapped", n)
             return arrays
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             self.drop(key)

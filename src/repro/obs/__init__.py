@@ -6,7 +6,6 @@ so this package must not pull in report rendering or timeline export at
 import time (the ``profile`` CLI imports those lazily).
 """
 
-from .counters import CounterSet
 from .attribution import (
     LineProfileCollector,
     active_collector,
@@ -26,7 +25,6 @@ from .flightrec import (
 from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
-    configure_metrics,
     get_metrics,
     hist_quantile,
     hist_summary,
@@ -52,7 +50,6 @@ from .tracer import (
 
 __all__ = [
     "BufferSink",
-    "CounterSet",
     "FLIGHTREC_SCHEMA",
     "FlightRecorder",
     "JsonlSink",
@@ -70,7 +67,6 @@ __all__ = [
     "capturing_launches",
     "collecting",
     "configure",
-    "configure_metrics",
     "get_flight_recorder",
     "get_metrics",
     "get_tracer",

@@ -1,11 +1,13 @@
 """Process-wide metrics registry: counters, gauges, log-bucketed histograms.
 
-Zero-dependency sibling of :mod:`repro.obs.tracer`.  The registry mirrors the
-tracer's cost discipline: when disabled (the default), every instrumentation
-point costs one attribute load and an ``if`` — no allocation, no locking, no
-string formatting.  When enabled, updates take a single process-wide lock
-(contention is negligible at our event rates; every hot loop is vectorized
-NumPy, instrumented per *batch*, not per element).
+Zero-dependency sibling of :mod:`repro.obs.tracer`, and the process's only
+counter store: trace-cache outcomes, engine stage times, serve admissions and
+kernel launch totals all live here, and the views that need them
+(:func:`repro.gpu.engine.stage_times`, :attr:`repro.gpu.trace.TraceCache.stats`,
+the serve ``stats`` frame) read them back.  It always counts: an update is a
+dict update under one process-wide lock (contention is negligible at our event
+rates; every hot loop is vectorized NumPy, instrumented per *batch*, not per
+element).
 
 Three serialization surfaces:
 
@@ -41,12 +43,9 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 __all__ = [
     "METRICS_SCHEMA",
-    "METRICS_ENV",
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
-    "configure_metrics",
-    "metrics_enabled_from_env",
     "merge_snapshots",
     "delta_snapshots",
     "empty_snapshot",
@@ -57,10 +56,6 @@ __all__ = [
 
 #: Version stamp on every snapshot; bump on incompatible layout changes.
 METRICS_SCHEMA = 1
-
-#: Environment toggle: "1" enables the process-wide registry (propagated to
-#: worker processes by :func:`configure_metrics`, mirroring ``REPRO_LOG``).
-METRICS_ENV = "REPRO_METRICS"
 
 #: Bucket key for non-positive observations (durations clamp here).
 _ZERO_BUCKET = "z"
@@ -86,10 +81,9 @@ def _bucket_upper(key: str) -> float:
 class MetricsRegistry:
     """Thread-safe counters, gauges, and log2-bucketed histograms."""
 
-    __slots__ = ("enabled", "_lock", "_counters", "_gauges", "_hists")
+    __slots__ = ("_lock", "_counters", "_gauges", "_hists")
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
@@ -101,22 +95,16 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the monotonic counter ``name``."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to its current ``value``."""
-        if not self.enabled:
-            return
         with self._lock:
             self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``."""
-        if not self.enabled:
-            return
         value = float(value)
         key = _bucket_key(value)
         with self._lock:
@@ -417,11 +405,7 @@ def to_prometheus(snap: Mapping[str, Any]) -> str:
 # --------------------------------------------------------------------------
 
 
-def metrics_enabled_from_env() -> bool:
-    return os.environ.get(METRICS_ENV, "") not in ("", "0")
-
-
-_REGISTRY = MetricsRegistry(enabled=metrics_enabled_from_env())
+_REGISTRY = MetricsRegistry()
 
 
 def get_metrics() -> MetricsRegistry:
@@ -436,37 +420,17 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     return old
 
 
-def configure_metrics(enabled: bool = True, *, propagate_env: bool = True) -> MetricsRegistry:
-    """Enable/disable the process-wide registry.
-
-    With ``propagate_env`` (the default), mirrors the setting into
-    ``REPRO_METRICS`` so spawned worker processes come up with the same
-    state — the same contract ``obs.tracer.configure`` uses for REPRO_LOG.
-    """
-    _REGISTRY.enabled = bool(enabled)
-    if propagate_env:
-        if enabled:
-            os.environ[METRICS_ENV] = "1"
-        else:
-            os.environ.pop(METRICS_ENV, None)
-    return _REGISTRY
-
-
-def capture_baseline() -> Optional[Dict[str, Any]]:
-    """Snapshot for later :func:`delta_since`; None when disabled (free)."""
-    if not _REGISTRY.enabled:
-        return None
+def capture_baseline() -> Dict[str, Any]:
+    """Snapshot for later :func:`delta_since`."""
     return _REGISTRY.snapshot()
 
 
-def delta_since(baseline: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
+def delta_since(baseline: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     """Delta snapshot of everything observed since ``capture_baseline``.
 
-    Returns None when the registry is disabled or nothing changed, so callers
-    can skip attaching empty payloads.
+    Returns None when nothing changed, so callers can skip attaching empty
+    payloads.
     """
-    if not _REGISTRY.enabled:
-        return None
     delta = delta_snapshots(_REGISTRY.snapshot(), baseline)
     if snapshot_is_empty(delta):
         return None
@@ -479,5 +443,5 @@ def absorb_delta(snap: Optional[Mapping[str, Any]]) -> None:
     Same-pid deltas are dropped: work done in this process was already
     counted in place.
     """
-    if snap and _REGISTRY.enabled and snap.get("pid") != os.getpid():
+    if snap and snap.get("pid") != os.getpid():
         _REGISTRY.merge(snap)

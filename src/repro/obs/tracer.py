@@ -30,9 +30,9 @@ construction.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import json
+import json.encoder as _json_encoder
 import os
 import sys
 import threading
@@ -70,9 +70,32 @@ LOG_ENV = "REPRO_LOG"
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40, "off": 100}
 _LEVEL_NAMES = {v: k for k, v in LEVELS.items()}
 
-#: Shared compact encoder — ``json.dumps`` with keyword options builds a
-#: fresh ``JSONEncoder`` per call, which is measurable on the emit path.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+#: Compact event encoder, built once.  ``json.dumps`` builds a fresh
+#: ``JSONEncoder`` per call and ``JSONEncoder.encode`` a fresh C encoder;
+#: both are measurable on the emit path.  Events are trees, so the C
+#: encoder runs without circular-reference markers.
+if _json_encoder.c_make_encoder is not None:
+    _C_ENCODE = _json_encoder.c_make_encoder(
+        None, str, _json_encoder.encode_basestring_ascii, None, ":", ",",
+        False, False, True,
+    )
+
+    def _encode(event: dict) -> str:
+        return "".join(_C_ENCODE(event, 0))
+else:  # pragma: no cover - interpreters without the _json accelerator
+    _encode = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+#: This process's pid, refreshed in forked children: every event is
+#: stamped with it and every sink checks it, and ``os.getpid`` is a syscall.
+_PID = os.getpid()
+
+
+def _refresh_pid() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
 
 
 def _level_no(level: int | str) -> int:
@@ -104,6 +127,24 @@ def telemetry_path(run_id: str):
 # --------------------------------------------------------------------------
 
 
+def _write_lines(lock, fh, pending: list, pid: int) -> None:
+    """Encode the ``pending`` events, append them in one write, empty the list.
+
+    Only the owning process writes: a forked child that inherited the
+    batch (and maybe a held lock) leaves both alone.
+    """
+    if _PID != pid:
+        return
+    with lock:
+        try:
+            if pending:
+                fh.write("\n".join(map(_encode, pending)) + "\n")
+                fh.flush()
+        except (OSError, ValueError):  # pragma: no cover - closed/best effort
+            pass
+        pending.clear()
+
+
 class JsonlSink:
     """Append events as JSON lines to a file.
 
@@ -111,11 +152,16 @@ class JsonlSink:
     inherit the handle, and interleaved buffered appends from several
     processes would tear lines, so events from other pids are dropped here
     and travel through :func:`run_forwarded` instead.
+
+    Events are held as dicts and encoded a batch at a time: encoding 64
+    events in one pass keeps the encoder hot and costs about half of
+    encoding each on its own.  An emitted event must therefore not be
+    mutated afterwards.
     """
 
-    #: Flush every N events rather than per line: telemetry is diagnostic,
-    #: not a journal, and a flush per event dominates short instrumented
-    #: runs.  Warnings and errors always flush immediately.
+    #: Write every N events rather than per line: telemetry is diagnostic,
+    #: not a journal, and a write per event dominates short instrumented
+    #: runs.  Warnings and errors are written immediately.
     FLUSH_EVERY = 64
 
     def __init__(self, path, level: int | str = "debug"):
@@ -124,51 +170,31 @@ class JsonlSink:
         self._fh = open(self.path, "a", encoding="utf-8")
         self._pid = os.getpid()
         self._lock = threading.Lock()
-        self._unflushed = 0
-        # Registered for a best-effort flush at interpreter exit: short CLI
-        # runs emitting fewer than FLUSH_EVERY events would otherwise lose
-        # the buffered tail when the process exits without close().
-        _LIVE_JSONL_SINKS.add(self)
+        self._pending: list[dict] = []
+        # Writes the tail when the sink is dropped or the interpreter exits
+        # without close(): short CLI runs emit fewer than FLUSH_EVERY events.
+        self._finalizer = weakref.finalize(
+            self, _write_lines, self._lock, self._fh, self._pending, self._pid
+        )
 
     def emit(self, event: dict) -> None:
-        if os.getpid() != self._pid:
+        if _PID != self._pid:
             return
-        line = _ENCODER.encode(event)
         with self._lock:
-            self._fh.write(line + "\n")
-            self._unflushed += 1
-            if (
-                self._unflushed >= self.FLUSH_EVERY
-                or event.get("level", 0) >= LEVELS["warning"]
-            ):
-                self._fh.flush()
-                self._unflushed = 0
+            self._pending.append(event)
+            batched = len(self._pending)
+        if batched >= self.FLUSH_EVERY or event.get("level", 0) >= LEVELS["warning"]:
+            self.flush()
 
     def flush(self) -> None:
-        with self._lock:
-            try:
-                self._fh.flush()
-            except (OSError, ValueError):  # pragma: no cover - closed/best effort
-                pass
-            self._unflushed = 0
+        _write_lines(self._lock, self._fh, self._pending, self._pid)
 
     def close(self) -> None:
-        _LIVE_JSONL_SINKS.discard(self)
+        self._finalizer()
         try:
             self._fh.close()
         except OSError:  # pragma: no cover - best effort
             pass
-
-
-#: Open JSONL sinks, flushed at interpreter exit.  A WeakSet so registration
-#: never keeps an abandoned sink (and its file handle) alive.
-_LIVE_JSONL_SINKS: "weakref.WeakSet[JsonlSink]" = weakref.WeakSet()
-
-
-@atexit.register
-def _flush_jsonl_sinks_at_exit() -> None:  # pragma: no cover - exercised via subprocess test
-    for sink in list(_LIVE_JSONL_SINKS):
-        sink.flush()
 
 
 class StderrSink:
@@ -187,7 +213,7 @@ class StderrSink:
         self._pid = os.getpid()
 
     def emit(self, event: dict) -> None:
-        if os.getpid() != self._pid and not event.get("forwarded"):
+        if _PID != self._pid and not event.get("forwarded"):
             return
         stream = self.stream or sys.stderr
         kind = event.get("event")
@@ -260,7 +286,7 @@ class Span:
         stack = tracer._stack()
         self.parent_id = stack[-1] if stack else ""
         self.depth = len(stack)
-        self.span_id = f"{os.getpid():x}.{next(tracer._seq):x}"
+        self.span_id = f"{_PID:x}.{next(tracer._seq):x}"
         stack.append(self.span_id)
         self._t0 = time.perf_counter()
         if self.metrics is not None:
@@ -353,7 +379,7 @@ class Tracer:
 
     def _emit(self, level: int, payload: dict) -> None:
         event = {"schema": TELEMETRY_SCHEMA, "ts": time.time(), "level": level,
-                 "pid": os.getpid(), "tid": threading.get_ident(), **payload}
+                 "pid": _PID, "tid": threading.get_ident(), **payload}
         for sink in self.sinks:
             if level >= sink.level:
                 sink.emit(event)
@@ -451,9 +477,9 @@ def run_forwarded(fn, *args, **kwargs) -> tuple:
     Returns ``(result, events, metrics_delta)``: the events this process
     emitted during the call (empty when telemetry is off: env level ``off``
     and no active sinks) and a mergeable delta of the metrics registry
-    (None when metrics are disabled or nothing changed).  A pool worker
-    serves many calls, so the delta covers this call only.  The parent
-    folds the pair with :func:`absorb_forwarded`.
+    (None when nothing changed).  A pool worker serves many calls, so the
+    delta covers this call only.  The parent folds the pair with
+    :func:`absorb_forwarded`.
     """
     baseline = _metrics.capture_baseline()
     tracer = get_tracer()
@@ -481,9 +507,8 @@ def absorb_forwarded(events: list[dict], metrics_delta: dict | None) -> None:
     _metrics.absorb_delta(metrics_delta)
     if events:
         tracer = get_tracer()
-        pid = os.getpid()
         for event in events:
-            if event.get("pid") == pid:
+            if event.get("pid") == _PID:
                 continue
             event.setdefault("forwarded", True)
             tracer.emit_raw(event)

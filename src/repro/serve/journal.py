@@ -57,9 +57,8 @@ class JobJournal:
         t0 = time.perf_counter()
         self._log.append(entry)
         registry = get_metrics()
-        if registry.enabled:
-            registry.inc(f"journal_{entry.get('kind', 'entry')}_records")
-            registry.observe("serve_journal_fsync_s", time.perf_counter() - t0)
+        registry.inc(f"journal_{entry.get('kind', 'entry')}_records")
+        registry.observe("serve_journal_fsync_s", time.perf_counter() - t0)
 
     def accepted(self, job_id: str, request: dict, *, client: str = "",
                  shed_level: int = 0, cost: float = 0.0) -> None:

@@ -22,7 +22,9 @@ Client → server ops::
     {"op": "status", "job": "job-..."}   # poll a job (works after restart)
     {"op": "wait",   "job": "job-..."}   # block until terminal, then result
     {"op": "cancel", "job": "job-..."}
-    {"op": "stats"}                      # queue depth, counters, gauges
+    {"op": "stats"}                      # registry snapshot under "metrics";
+                                         # "counters"/"gauges": its serve_*
+                                         # names without the prefix
     {"op": "ping"}
     {"op": "shutdown"}                   # graceful drain + exit
 

@@ -54,8 +54,7 @@ from ..framework.resilience import (
 from ..framework.runner import DEFAULT_MAX_BLOCKS, RunRecord
 from ..framework.scheduler import CellJob, JobHandle, JobScheduler, SupervisionPolicy
 from ..graph.datasets import get_spec
-from ..obs.counters import CounterSet
-from ..obs.metrics import configure_metrics
+from ..obs.metrics import get_metrics
 from ..obs.tracer import TELEMETRY_SCHEMA, get_tracer
 from .admission import AdmissionController, AdmissionPolicy, estimate_cost
 from .journal import JobJournal
@@ -100,7 +99,7 @@ class _Conn:
             self._outq.put_nowait(frame)
             return True
         except queue.Full:
-            self.server.counters.inc("conn_backpressure_drops")
+            self.server.metrics.inc("serve_conn_backpressure_drops")
             self.close()
             return False
 
@@ -190,13 +189,11 @@ class TriangleServer:
         #: fallback, so eviction bounds memory without losing results.
         self.terminal_ttl_s = terminal_ttl_s
         self.max_terminal_jobs = max_terminal_jobs
-        self.counters = CounterSet()
-        # Wire-visible counters stay in the CounterSet (protocol back-compat);
-        # the process-wide registry additionally gets histograms/gauges and
-        # worker-merged engine counters, exposed via the "metrics" key of
-        # stats frames.  Enabling propagates REPRO_METRICS so scheduler
-        # worker processes ship their deltas home on the forwarding path.
-        self.metrics = configure_metrics(True)
+        # The process-wide registry is the server's only counter store.  Its
+        # ``serve_*`` counters and gauges, prefix stripped, are the stats
+        # frame's top-level wire names (see _stats_frame); scheduler workers'
+        # deltas merge into it on the forwarding path.
+        self.metrics = get_metrics()
         self.admission = AdmissionController(admission)
         self.journal = JobJournal(self.server_id)
         self._chaos = chaos_from_env()
@@ -314,7 +311,7 @@ class TriangleServer:
         get_tracer().info(
             "serve_replay", server_id=self.server_id, pending=len(pending)
         )
-        self.counters.inc("journal_replayed_jobs", len(pending))
+        self.metrics.inc("serve_journal_replayed_jobs", len(pending))
         for job_id, entry in sorted(pending.items(), key=lambda kv: kv[1].get("ts", 0)):
             request = entry.get("request", {})
             deadline_s = request.get("deadline_s")
@@ -404,7 +401,7 @@ class TriangleServer:
                 try:
                     lines = reader.feed(data)
                 except proto.FrameError as exc:
-                    self.counters.inc(f"frame_errors_{exc.code}")
+                    self.metrics.inc(f"serve_frame_errors_{exc.code}")
                     conn.send(proto.error_frame(exc.code, exc.message))
                     break  # framing is gone; the connection is unusable
                 for line in lines:
@@ -412,7 +409,7 @@ class TriangleServer:
                 try:
                     reader.raise_if_poisoned()
                 except proto.FrameError as exc:
-                    self.counters.inc(f"frame_errors_{exc.code}")
+                    self.metrics.inc(f"serve_frame_errors_{exc.code}")
                     conn.send(proto.error_frame(exc.code, exc.message))
                     break
         finally:
@@ -426,17 +423,17 @@ class TriangleServer:
             frame = proto.decode_frame(line)
             request = proto.parse_request(frame)
         except proto.FrameError as exc:
-            self.counters.inc(f"frame_errors_{exc.code}")
+            self.metrics.inc(f"serve_frame_errors_{exc.code}")
             conn.send(proto.error_frame(exc.code, exc.message))
             return
         except proto.RequestError as exc:
-            self.counters.inc("bad_requests")
+            self.metrics.inc("serve_bad_requests")
             conn.send(proto.error_frame(exc.code, exc.message, tag=_tag(frame)))
             return
         try:
             self._dispatch(conn, request)
         except proto.RequestError as exc:
-            self.counters.inc("bad_requests")
+            self.metrics.inc("serve_bad_requests")
             conn.send(proto.error_frame(exc.code, exc.message, tag=_tag(request)))
         except Exception as exc:  # pragma: no cover - last-resort guard
             get_tracer().error("serve_dispatch_error", error=f"{type(exc).__name__}: {exc}")
@@ -453,7 +450,7 @@ class TriangleServer:
                 interval = float(request.get("interval_s") or 2.0)
                 with self._lock:
                     self._watchers[conn] = [interval, time.monotonic() + interval]
-                self.counters.inc("stats_watchers")
+                self.metrics.inc("serve_stats_watchers")
             conn.send({**self._stats_frame(), "tag": _tag(request)})
         elif op == "submit":
             self._handle_submit(conn, request)
@@ -518,8 +515,6 @@ class TriangleServer:
             workers=self.workers,
         )
         if not decision.admitted:
-            self.counters.inc(f"rejected_{decision.code}")
-            self.counters.inc("rejected")
             self.metrics.inc("serve_rejected")
             self.metrics.inc(f"serve_rejected_{decision.code}")
             if decision.retry_after_s:
@@ -562,18 +557,16 @@ class TriangleServer:
             job_id, request_doc, client=submit.client,
             shed_level=decision.shed_level, cost=cost,
         )
-        self.counters.inc("accepted")
         self.metrics.inc("serve_accepted")
         self.metrics.observe("serve_decision_ms", (time.perf_counter() - t0) * 1e3)
         self.metrics.gauge("serve_shed_level", decision.shed_level)
         if decision.shed_level > 0:
-            self.counters.inc("shed_jobs")
-            self.counters.gauge("last_shed_level", decision.shed_level)
             self.metrics.inc("serve_shed_jobs")
+            self.metrics.gauge("serve_last_shed_level", decision.shed_level)
         if "conn_drop" in chaos:
             # Chaos: the wire dies right after acceptance was journaled.
             # The client sees EOF; the job still runs to a terminal state.
-            self.counters.inc("chaos_conn_drops")
+            self.metrics.inc("serve_chaos_conn_drops")
             conn.close()
         else:
             conn.send(proto.accepted_frame(
@@ -607,7 +600,7 @@ class TriangleServer:
             # accepted and queuing it.  The client holds an acceptance
             # receipt, so the job must still reach exactly one terminal
             # state in this process life — not wait for a reboot replay.
-            self.counters.inc("shutdown_race_failures")
+            self.metrics.inc("serve_shutdown_race_failures")
             self._record_terminal(state.job_id, RunRecord(
                 algorithm=request["algorithm"], dataset=request["dataset"],
                 device="", status="failed",
@@ -623,10 +616,8 @@ class TriangleServer:
     def _on_scheduler_event(self, name: str, job: CellJob, payload: dict) -> None:
         """Fan a scheduler lifecycle event out to the job's stream subscribers."""
         if name == "job_worker_restart":
-            self.counters.inc("worker_restarts")
             self.metrics.inc("serve_worker_restarts")
         elif name == "job_circuit_open":
-            self.counters.inc("circuit_opens")
             self.metrics.inc("serve_circuit_opens")
         event = {
             "schema": TELEMETRY_SCHEMA, "ts": time.time(), "event": "log",
@@ -668,13 +659,11 @@ class TriangleServer:
                 job_id, {"status": record.status, "record": rec_dict}
             )
             self._evict_terminals_locked()
-        self.counters.inc(f"jobs_{record.status}")
         self.metrics.inc(f"serve_jobs_{record.status}")
         self.metrics.inc("serve_jobs_terminal")
         if duration is not None:
             self.metrics.observe("serve_job_latency_s", duration)
         if expired:
-            self.counters.inc("deadline_expired")
             self.metrics.inc("serve_deadline_expired")
         if duration is not None and record.status in ("ok", "degraded"):
             self.admission.observe_completion(duration)
@@ -799,7 +788,7 @@ class TriangleServer:
             raise proto.RequestError("unknown_job", f"unknown job {job_id!r}")
         ok = state.handle.cancel()
         if ok:
-            self.counters.inc("cancelled")
+            self.metrics.inc("serve_cancelled")
         conn.send({"type": "cancelled", "schema": proto.PROTOCOL_SCHEMA,
                    "job": job_id, "ok": ok, "tag": tag})
 
@@ -808,6 +797,7 @@ class TriangleServer:
         with self._lock:
             queued_cost = self._queued_cost
             live_jobs = len(self._jobs)
+        snap = self.metrics.snapshot()
         return {
             "type": "stats", "schema": proto.PROTOCOL_SCHEMA,
             "server_id": self.server_id,
@@ -815,17 +805,23 @@ class TriangleServer:
             "queued_cost": round(queued_cost, 1),
             "live_jobs": live_jobs,
             "service_time_s": round(self.admission.service_time_s(), 4),
-            "metrics": self.metrics.snapshot(),
-            **self.counters.snapshot(),
+            "metrics": snap,
+            # The pre-registry wire names: serve_* without the prefix.
+            "counters": {
+                name.removeprefix("serve_"): int(v)
+                for name, v in snap["counters"].items() if name.startswith("serve_")
+            },
+            "gauges": {
+                name.removeprefix("serve_"): v
+                for name, v in snap["gauges"].items() if name.startswith("serve_")
+            },
         }
 
     def _update_gauges(self) -> None:
         depth = self.scheduler.queue_depth()
-        self.counters.gauge("queue_depth", depth)
         self.metrics.gauge("serve_queue_depth", depth)
         with self._lock:
             queued_cost = round(self._queued_cost, 1)
-        self.counters.gauge("queued_cost", queued_cost)
         self.metrics.gauge("serve_queued_cost", queued_cost)
 
     # -- stats push ---------------------------------------------------------

@@ -425,17 +425,15 @@ def check_metrics_conservation(
     """
     import json
     import math
-    import os
 
-    from ..obs.metrics import METRICS_ENV, MetricsRegistry, set_metrics
+    from ..obs.metrics import MetricsRegistry, set_metrics
     from ..obs.tracer import BufferSink, Tracer, set_tracer
     from ..serve.client import ServeClient
     from ..serve.server import TriangleServer
 
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old_registry = set_metrics(registry)
     old_tracer = set_tracer(Tracer([BufferSink()]))
-    old_env = os.environ.get(METRICS_ENV)
     try:
         # A. serve: admission/terminal counters vs the journal file.
         server = TriangleServer(port=0, workers=1)
@@ -504,10 +502,6 @@ def check_metrics_conservation(
     finally:
         set_tracer(old_tracer)
         set_metrics(old_registry)
-        if old_env is None:
-            os.environ.pop(METRICS_ENV, None)
-        else:
-            os.environ[METRICS_ENV] = old_env
     return InvariantResult(
         "metrics-conservation", True,
         f"serve counters == journal ({len(accepted)} jobs) and launch counters "

@@ -38,7 +38,7 @@ from repro.gpu.cluster import (
 from repro.gpu.device import SIM_V100
 from repro.graph import clean_edges, oriented_csr
 from repro.graph.generators import complete_graph
-from repro.obs.metrics import METRICS_ENV, MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.tracer import BufferSink, Tracer, set_tracer
 from repro.verify.fixtures import fixture_csr
 from repro.verify.invariants import check_cluster_conservation
@@ -205,13 +205,12 @@ class TestRunCluster:
                              max_blocks_simulated=BLOCKS)
         assert record.ok and record.triangles == expect
 
-    def test_parallel_fanout_equals_serial(self, powerlaw, monkeypatch):
+    def test_parallel_fanout_equals_serial(self, powerlaw):
         """Same record at jobs=1 and jobs=2, and the workers' launch counts
         reach the parent registry exactly once."""
-        monkeypatch.setenv(METRICS_ENV, "1")  # spawned workers enable too
 
         def run(jobs):
-            registry = MetricsRegistry(enabled=True)
+            registry = MetricsRegistry()
             old = set_metrics(registry)
             try:
                 record = run_cluster("Polak", powerlaw, devices=4,

@@ -42,7 +42,7 @@ def tracer():
 
 @pytest.fixture
 def registry():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     old = set_metrics(reg)
     yield reg
     set_metrics(old)

@@ -151,7 +151,7 @@ def test_site_lines_name_the_kernel_yields():
 
 
 def test_record_launch_uses_the_emitter():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old = set_metrics(registry)
     try:
         launch = green_launch(fixture_csr("clique-12"), SIM_V100)
@@ -192,6 +192,7 @@ def test_check_emitters_runs_on_cache_hits(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     cache = reset_trace_cache()
+    old = set_metrics(MetricsRegistry())  # the cache's stats are its counters
     launch = green_launch(fixture_csr("clique-12"), SIM_V100)
     del launch["blocks"]
     try:
@@ -203,6 +204,7 @@ def test_check_emitters_runs_on_cache_hits(tmp_path, monkeypatch):
                 assert found == [("_green_thread", ["locations"])]
         assert cache.stats.hits == 1  # the second launch never recorded
     finally:
+        set_metrics(old)
         reset_trace_cache()
 
 
@@ -226,7 +228,7 @@ def test_record_span_says_whether_the_trace_was_emitted(monkeypatch):
 
 def test_stats_engine_line_shows_emitted_launches():
     """``emitted=N/M``: N launches recorded by emitters out of M recorded."""
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.inc("engine_record_s", 0.25)
     registry.inc("record_emitted_launches", 3)
     registry.inc("record_generator_launches", 2)
@@ -237,7 +239,7 @@ def test_stats_engine_line_shows_emitted_launches():
 
 
 def test_record_launch_counts_generator_launches():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old = set_metrics(registry)
     try:
         [(_, launch)] = algorithm_launches(polak, Polak, fixture_csr("clique-12"), SIM_V100)

@@ -144,7 +144,7 @@ def test_site_lines_name_the_kernel_yields():
 
 def test_an_hindex_cell_runs_no_generators(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old = set_metrics(registry)
     try:
         with mock.patch.object(engine, "record_generators", side_effect=AssertionError):

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.framework.compare import run_matrix
 from repro.framework.parallel import run_cells
+from repro.gpu.engine import stage_times
+from repro.gpu.trace import reset_trace_cache
 from repro.obs.metrics import (
-    METRICS_ENV,
     METRICS_SCHEMA,
     MetricsRegistry,
     _bucket_key,
@@ -41,10 +43,9 @@ BLOCKS = 4
 
 
 @pytest.fixture
-def registry(monkeypatch):
-    """Fresh enabled registry installed process-wide; restored after."""
-    monkeypatch.setenv(METRICS_ENV, "1")  # spawned workers enable too
-    reg = MetricsRegistry(enabled=True)
+def registry():
+    """Fresh registry installed process-wide; restored after."""
+    reg = MetricsRegistry()
     old = set_metrics(reg)
     yield reg
     set_metrics(old)
@@ -61,15 +62,8 @@ def quiet_tracer():
 
 
 class TestRegistry:
-    def test_disabled_is_inert(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.inc("c")
-        reg.gauge("g", 5)
-        reg.observe("h", 1.5)
-        assert snapshot_is_empty(reg.snapshot())
-
     def test_counter_gauge_hist_roundtrip(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.inc("c")
         reg.inc("c", 2.5)
         reg.gauge("g", 3)
@@ -88,7 +82,7 @@ class TestRegistry:
         assert sum(h["buckets"].values()) == 3
 
     def test_reset_clears_everything(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.inc("c")
         reg.observe("h", 1.0)
         reg.reset()
@@ -103,7 +97,7 @@ class TestRegistry:
         assert _bucket_key(-1.0) == "z"
 
     def test_quantiles_clamped_to_exact_extrema(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         for v in (0.3, 0.4, 0.45, 100.0):
             reg.observe("h", v)
         h = reg.snapshot()["hists"]["h"]
@@ -118,7 +112,7 @@ class TestRegistry:
         assert digest["p50"] <= digest["p95"] <= digest["p99"] <= digest["max"]
 
     def test_prometheus_exposition(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.inc("jobs_total_seen", 3)
         reg.gauge("queue_depth", 2)
         reg.observe("latency_s", 0.75)
@@ -139,7 +133,7 @@ class TestRegistry:
 
 
 def _snap_from_ops(ops):
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     for kind, name, value in ops:
         if kind == 0:
             reg.inc(name, float(value))
@@ -189,7 +183,7 @@ class TestSnapshotAlgebra:
             {n: h["buckets"] for n, h in ba["hists"].items()}
 
     def test_delta_recovers_increments(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.inc("c", 5)
         reg.observe("h", 1.0)
         base = reg.snapshot()
@@ -223,10 +217,9 @@ class TestWorkerMerge:
     def test_parallel_counters_match_serial(self, tmp_path, monkeypatch,
                                             quiet_tracer):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv(METRICS_ENV, "1")
 
         def run(jobs):
-            reg = MetricsRegistry(enabled=True)
+            reg = MetricsRegistry()
             old = set_metrics(reg)
             try:
                 records = run_cells(CELLS, jobs=jobs,
@@ -242,3 +235,22 @@ class TestWorkerMerge:
         parallel = run(2)
         assert serial["sim_launches"] >= len(CELLS)  # actually instrumented
         assert parallel == serial
+
+    def test_cold_parallel_matrix_reaches_parent_without_a_switch(
+        self, tmp_path, monkeypatch, registry
+    ):
+        """The registry always counts, so worker stage times and launch
+        counts reach the parent with no env var and no flag set."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_trace_cache()
+        before = stage_times()["record_s"]
+        try:
+            matrix = run_matrix(["Polak", "GroupTC"], ["As-Caida"],
+                                max_blocks_simulated=BLOCKS, jobs=2)
+        finally:
+            reset_trace_cache()
+        assert all(r.ok for r in matrix.records)
+        assert stage_times()["record_s"] > before
+        launches = sum(int(r.extra["kernel_launches"]) for r in matrix.records)
+        assert launches > 0
+        assert registry.get("sim_launches") == launches

@@ -124,10 +124,31 @@ class TestJsonlRoundTrip:
         assert log["msg"] == "watch out" and log["span"] == begin["span"]
         assert end["event"] == "span_end" and end["span"] == begin["span"]
 
+    def test_batches_write_compact_lines_in_order(self, tmp_path):
+        """Events wait in the batch until a warning (or FLUSH_EVERY); each
+        lands as its own compact JSON line, in emit order, and a sink
+        dropped without close() still writes its tail."""
+        import gc
+
+        path = tmp_path / "batch.jsonl"
+        sink = JsonlSink(path, level="info")
+        tracer = Tracer([sink])
+        tracer.info("a", x=1.5, big=2**70, text="é")
+        assert path.read_text() == ""  # still batched
+        tracer.warning("b", ys=[1, 2], nested={"k": None})
+        assert len(path.read_text().splitlines()) == 2
+        tracer.info("c")
+        del tracer, sink
+        gc.collect()
+        lines = path.read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        assert [e["msg"] for e in events] == ["a", "b", "c"]
+        assert lines == [json.dumps(e, separators=(",", ":")) for e in events]
+
     def test_atexit_flushes_batched_tail(self, tmp_path):
         """A process that emits fewer than FLUSH_EVERY events and exits
-        without close() must not lose them: the atexit hook flushes every
-        live sink's buffered tail."""
+        without close() must not lose them: the sink's finalizer writes
+        the batched tail at exit."""
         import subprocess
         import sys
         import textwrap

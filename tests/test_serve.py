@@ -28,6 +28,7 @@ from repro.framework.resilience import (
     set_chaos_kill_budget,
 )
 from repro.framework.scheduler import SupervisionPolicy
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.tracer import TELEMETRY_SCHEMA
 from repro.serve import (
     JobJournal,
@@ -50,6 +51,14 @@ def tmp_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     return tmp_path
+
+
+@pytest.fixture(autouse=True)
+def fresh_registry():
+    """A fresh process-wide registry: the server counts only there."""
+    old = set_metrics(MetricsRegistry())
+    yield
+    set_metrics(old)
 
 
 @pytest.fixture
@@ -243,6 +252,38 @@ class TestAdmission:
                     r.result(timeout=60.0)
 
 
+class TestStatsWire:
+    def test_stats_frame_keeps_pre_registry_names(self, server_factory):
+        """The top-level counters/gauges are the registry's serve_* names
+        without the prefix: every name clients read before the registry
+        became the only counter store is still there, with its value."""
+        server = server_factory(
+            admission=AdmissionPolicy(quota_rate=0.001, quota_burst=1.0),
+        )
+        with ServeClient(port=server.port, client_id="wire") as client:
+            ok = client.submit(ALG, DS, blocks=2, stream=False)
+            rejected = client.submit(ALG, DS, blocks=2, stream=False)
+            bad = client.submit("NoSuchAlg", DS)
+            assert ok.accepted and rejected.reject_code == "quota_exceeded"
+            assert bad.response["code"] == "bad_request"
+            ok.result(timeout=60.0)
+            # the gauges settle just after the result frame is sent
+            _poll(lambda: client.stats()["gauges"].get("queued_cost") == 0,
+                  what="queued cost to drain")
+            frame = client.stats()
+        assert {k: frame["counters"].get(k) for k in (
+            "accepted", "rejected", "rejected_quota_exceeded", "jobs_ok",
+            "bad_requests",
+        )} == {
+            "accepted": 1, "rejected": 1, "rejected_quota_exceeded": 1,
+            "jobs_ok": 1, "bad_requests": 1,
+        }
+        assert all(type(v) is int for v in frame["counters"].values())
+        assert {k: frame["gauges"].get(k) for k in ("queue_depth", "queued_cost")} == {
+            "queue_depth": 0, "queued_cost": 0,
+        }
+
+
 class TestBadInput:
     def test_unknown_algorithm_and_dataset(self, server_factory):
         server = server_factory()
@@ -340,7 +381,7 @@ class TestChaos:
         # a fresh client recovers the result by job id
         with ServeClient(port=server.port) as client:
             assert client.wait(job_id)["record"]["status"] == "ok"
-        assert server.counters.get("chaos_conn_drops") == 1
+        assert server.metrics.get("serve_chaos_conn_drops") == 1
 
     def test_slow_client_only_stalls_its_own_handler(self, server_factory, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, f"slow_client:{ALG}/{DS}")
@@ -372,7 +413,7 @@ class TestChaos:
         assert record["status"] == "failed"
         assert record["error"].startswith("circuit open after 2 worker deaths")
         assert record["extra"]["circuit_open"] is True
-        assert server.counters.get("circuit_opens") == 1
+        assert server.metrics.get("serve_circuit_opens") == 1
         _, terminals = server.journal.load()
         assert len(terminals[receipt.job_id]) == 1
 
@@ -388,7 +429,7 @@ class TestChaos:
             receipt = client.submit(ALG, DS, blocks=2, stream=False)
             terminal = receipt.result(timeout=120.0)
         assert terminal["record"]["status"] == "ok"
-        assert server.counters.get("worker_restarts") == 1
+        assert server.metrics.get("serve_worker_restarts") == 1
 
 
 class TestDisconnect:
@@ -431,7 +472,7 @@ class TestLifecycle:
             "validate": False, "client": "ghost", "tag": "",
         })
         server = server_factory(server_id="replay-live")
-        assert server.counters.get("journal_replayed_jobs") == 2
+        assert server.metrics.get("serve_journal_replayed_jobs") == 2
         _poll(lambda: not server.journal.pending(), timeout=60.0,
               what="replayed jobs to reach a terminal state")
         _, terminals = server.journal.load()
@@ -497,7 +538,7 @@ class TestLifecycle:
         assert terminal["record"]["status"] == "failed"
         assert "ShuttingDown" in terminal["record"]["error"]
         assert terminal["record"]["extra"]["shutting_down"] is True
-        assert server.counters.get("shutdown_race_failures") == 1
+        assert server.metrics.get("serve_shutdown_race_failures") == 1
         accepted, terminals = server.journal.load()
         assert set(accepted) == set(terminals) == {receipt.job_id}
         assert len(terminals[receipt.job_id]) == 1

@@ -17,7 +17,7 @@ import pytest
 from repro.framework.cli import main
 from repro.framework.resilience import CHAOS_ENV
 from repro.obs.flightrec import uninstall_flight_recorder
-from repro.obs.metrics import METRICS_ENV, MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.statsview import latest_dir_snapshot, render_stats
 from repro.serve import protocol as proto
 from repro.serve.client import ServeClient
@@ -29,10 +29,10 @@ ALG, DS = "Polak", "As-Caida"
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
     """Fresh cache dir, fresh registry, no chaos, recorder cleaned up."""
-    for var in (CHAOS_ENV, METRICS_ENV, "REPRO_LOG"):
+    for var in (CHAOS_ENV, "REPRO_LOG"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    reg = MetricsRegistry(enabled=False)
+    reg = MetricsRegistry()
     old = set_metrics(reg)
     yield tmp_path
     set_metrics(old)
@@ -117,7 +117,7 @@ class TestDirMode:
     def test_reads_metrics_snapshot_from_telemetry(self, tmp_path, capsys):
         run_dir = tmp_path / "runs" / "r1"
         run_dir.mkdir(parents=True)
-        snap = MetricsRegistry(enabled=True)
+        snap = MetricsRegistry()
         snap.inc("serve_accepted", 7)
         event = {"schema": 1, "ts": time.time(), "level": 20, "event": "log",
                  "name": "metrics_snapshot", "server_id": "srv-x",
@@ -133,7 +133,7 @@ class TestDirMode:
     def test_falls_back_to_flightrec_dump(self, tmp_path, capsys):
         run_dir = tmp_path / "runs" / "r2"
         (run_dir / "flightrec").mkdir(parents=True)
-        snap = MetricsRegistry(enabled=True)
+        snap = MetricsRegistry()
         snap.inc("sim_launches", 5)
         dump = {"schema": 1, "reason": "sigterm", "ts": time.time(),
                 "run_id": "r2", "events": [], "metrics": snap.snapshot()}
@@ -148,7 +148,7 @@ class TestDirMode:
         assert "no snapshot" in capsys.readouterr().err
 
     def test_latest_snapshot_prefers_newest_event(self, tmp_path):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         lines = []
         for i in (1, 2):
             reg.inc("serve_accepted")
@@ -162,7 +162,7 @@ class TestDirMode:
 
 class TestRenderAndProtocol:
     def test_render_accepts_bare_snapshot(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.inc("serve_accepted", 2)
         reg.inc("serve_rejected", 1)
         reg.inc("serve_rejected_overloaded", 1)

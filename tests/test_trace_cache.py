@@ -22,17 +22,21 @@ from repro.gpu.trace import (
     reset_trace_cache,
     trace_cache_enabled,
 )
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.verify.fixtures import fixture_csr
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    """Fresh in-memory cache + private disk root for every test."""
+    """Fresh in-memory cache, private disk root and fresh registry (the
+    cache's stats are the registry's counters) for every test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    old = set_metrics(MetricsRegistry())
     cache = reset_trace_cache()
     yield cache
     reset_trace_cache()
+    set_metrics(old)
 
 
 def _sum_kernel(ctx, n, data, out):
@@ -237,6 +241,7 @@ def test_schema_mismatch_ignored(tmp_path, isolated_cache):
 
     _launch_sum()
     cache = reset_trace_cache()
+    get_metrics().reset()  # fresh process: no counts yet
     # rewrite every stored trace with a forged schema tag (valid digest)
     store = get_trace_store()
     files = list(store.root.glob("trace-*.trc"))

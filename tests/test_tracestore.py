@@ -17,17 +17,20 @@ from repro.gpu.device import SIM_V100
 from repro.gpu.intrinsics import atomic_add_global, ld_global
 from repro.gpu.trace import reset_trace_cache
 from repro.gpu.tracestore import MAGIC, TraceStore, get_trace_store, reset_trace_store
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    old = set_metrics(MetricsRegistry())
     reset_trace_store()
     cache = reset_trace_cache()
     yield cache
     reset_trace_cache()
     reset_trace_store()
+    set_metrics(old)
 
 
 def _sum_kernel(ctx, n, data, out):
@@ -104,6 +107,7 @@ def test_corrupt_file_dropped_and_regenerated():
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     cache = reset_trace_cache()  # fresh process: memory cache gone
+    get_metrics().reset()  # ... and no counts yet
     _, got = _launch()
     assert got == expected
     assert cache.stats.disk_hits == 0

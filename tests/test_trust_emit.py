@@ -215,7 +215,7 @@ def _counters(registry):
 
 def test_a_trust_cell_runs_no_generators(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old = set_metrics(registry)
     try:
         with mock.patch.object(engine, "record_generators", side_effect=AssertionError):
@@ -230,7 +230,7 @@ def test_a_cold_trust_cluster_runs_no_generators(monkeypatch):
     """Every partition of a 2-device TRUST cluster run on Wiki-Talk is
     recorded by the emitters."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     old = set_metrics(registry)
     try:
         record = run_cluster("TRUST", "Wiki-Talk", devices=2, jobs=1)

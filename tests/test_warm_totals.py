@@ -23,7 +23,7 @@ from repro.gpu.engine import event_oracle, stage_times
 from repro.gpu.metrics import SECTOR_BYTES
 from repro.gpu.trace import REPLAY_FIELDS, get_trace_cache, reset_trace_cache
 from repro.gpu.tracestore import get_trace_store, reset_trace_store
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.statsview import render_stats
 from repro.verify.fixtures import fixture_csr
 
@@ -34,13 +34,13 @@ BLOCKS = 4
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
-    """Private cache root, fresh trace cache and an enabled registry."""
+    """Private cache root, fresh trace cache and a fresh registry."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in ("REPRO_TRACE_CACHE", "REPRO_DISK_CACHE"):
         monkeypatch.delenv(var, raising=False)
     reset_trace_store()
     reset_trace_cache()
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     previous = set_metrics(registry)
     yield registry
     set_metrics(previous)
@@ -53,6 +53,13 @@ def _profile(name, device=SIM_V100):
         fixture_csr(FIXTURE), device=device, max_blocks_simulated=BLOCKS
     )
     return result.triangles, result.metrics.as_dict()
+
+
+def _fresh_process():
+    """What a new process starts with: the store, but no memory cache and
+    no counts (the cache's stats are the registry's counters)."""
+    get_metrics().reset()
+    return reset_trace_cache()
 
 
 def _cold_matrix(device=SIM_V100):
@@ -88,7 +95,7 @@ def forbidden(*args, **kwargs):
 
 engine._base_reductions_many = forbidden
 engine._l1_walk_many = forbidden
-registry = MetricsRegistry(enabled=True)
+registry = MetricsRegistry()
 set_metrics(registry)
 names, fixture, blocks = json.loads(sys.argv[1])
 out = {}
@@ -149,7 +156,7 @@ def test_stats_trace_store_line_counts_totals_hits(isolated):
 
 def test_new_geometry_decodes_replays_and_matches_event_engine(isolated):
     _cold_matrix(SIM_V100)
-    cache = reset_trace_cache()  # fresh process: only the store remains
+    cache = _fresh_process()
     before = stage_times()["replay_s"]
     for name in ALGORITHMS:
         warm = _profile(name, SIM_RTX_4090)
@@ -186,7 +193,7 @@ def test_file_without_totals_field_is_served(isolated):
     cold = _cold_matrix()
     files = _rewrite_stored(lambda arrays: arrays.pop("totals"))
     assert not any(b'"totals"' in path.read_bytes() for path in files)
-    cache = reset_trace_cache()
+    cache = _fresh_process()
     assert {name: _profile(name) for name in ALGORITHMS} == cold
     assert cache.stats.disk_hits > 0
     assert cache.stats.stores == 0
@@ -221,7 +228,7 @@ def test_forged_entries_drop_and_rerecord(forge, isolated):
     file is opened, not as a failure when the blocks are decoded later."""
     cold = _profile("Polak")
     files = _rewrite_stored(forge)
-    cache = reset_trace_cache()
+    cache = _fresh_process()
     assert _profile("Polak") == cold
     assert cache.stats.disk_hits == 0
     assert cache.stats.stores == len(files)
@@ -236,7 +243,7 @@ def test_jobs_parallel_matches_serial_on_warm_store():
 
     algorithms, datasets = ["TRUST", "GroupTC"], ["As-Caida"]
     serial = run_matrix(algorithms, datasets, jobs=1).records
-    reset_trace_cache()
+    _fresh_process()
     assert run_matrix(algorithms, datasets, jobs=2).records == serial
     reset_trace_cache()
     assert run_matrix(algorithms, datasets, jobs=1).records == serial

@@ -96,7 +96,7 @@ def test_chunking_does_not_change_counts(monkeypatch):
 def registry(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-    fresh = MetricsRegistry(enabled=True)
+    fresh = MetricsRegistry()
     previous = set_metrics(fresh)
     yield fresh
     set_metrics(previous)
