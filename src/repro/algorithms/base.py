@@ -5,8 +5,8 @@ Every studied implementation (the eight of Table I plus GroupTC) subclasses
 
 * Table I metadata (``name``, ``year``, ``iterator``, ``intersection``,
   ``granularity``) — the taxonomy bench regenerates the table from these;
-* ``count(csr)`` — the exact triangle count via a vectorised NumPy path
-  that mirrors the kernel's intersection structure;
+* ``count(csr)`` — the exact triangle count (inherited: the vectorised
+  reference :func:`~repro.algorithms.cpu_reference.count_triangles_oriented`);
 * ``count_structural(csr)`` — a slow, pure-Python count that follows the
   kernel's control flow literally (used by the fidelity tests on small
   graphs);
@@ -30,7 +30,9 @@ from ..gpu.costmodel import CostModel, estimate_time
 from ..gpu.device import TESLA_V100, DeviceSpec
 from ..gpu.memory import DeviceArray, GlobalMemory
 from ..gpu.metrics import ProfileMetrics
+from ..graph import facts
 from ..graph.csr import CSRGraph
+from .cpu_reference import count_triangles_oriented
 
 __all__ = [
     "TCAlgorithm",
@@ -101,8 +103,8 @@ class TCAlgorithm:
     # -- counting ---------------------------------------------------------
 
     def count(self, csr: CSRGraph) -> int:
-        """Exact triangle count of an oriented CSR (vectorised path)."""
-        raise NotImplementedError
+        """Exact triangle count of an oriented CSR (the vectorised reference)."""
+        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         """Pure-Python count following the kernel's control flow.
@@ -137,9 +139,10 @@ class TCAlgorithm:
     ) -> TCRunResult:
         """Simulate a full run: upload, launch, cost out, and count.
 
-        The reported ``triangles`` always comes from the exact vectorised
-        path; ``device_triangles`` is the simulator's own accumulator and is
-        only retained when every block was simulated.
+        The reported ``triangles`` is the exact count, read from the graph's
+        facts bundle (:mod:`repro.graph.facts`); ``device_triangles`` is
+        the simulator's own accumulator and is only retained when every
+        block was simulated.
         """
         gm = GlobalMemory(device)
         metrics = ProfileMetrics(warp_size=device.warp_size)
@@ -153,7 +156,7 @@ class TCAlgorithm:
         return TCRunResult(
             algorithm=self.name,
             device=device.name,
-            triangles=self.count(csr),
+            triangles=facts.fact(csr, "triangles", count_triangles_oriented, "exact_count_s"),
             device_triangles=device_count,
             metrics=metrics,
             sim_time_s=estimate_time(metrics, device, cost_model),

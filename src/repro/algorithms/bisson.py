@@ -34,7 +34,6 @@ from ..graph.csr import CSRGraph
 from ..graph.orientation import undirected_csr
 from ..intersect.bitmap import VertexBitmap
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["Bisson"]
 
@@ -42,6 +41,10 @@ _WORD_BITS = 32
 #: degree thresholds of Section III-C
 BLOCK_DEGREE = 38.0
 WARP_DEGREE = 3.8
+
+#: full adjacencies kept per process (content digest -> CSR), oldest first
+_FULL: dict[str, CSRGraph] = {}
+_FULL_SLOTS = 4
 
 
 def _bisson_thread(ctx, n, vwords, shared_bitmap, pool_slots, group, col, row_ptr, bitmap_pool, out):
@@ -128,15 +131,22 @@ class Bisson(TCAlgorithm):
     block_dim = 256
     device_count_divisor = 6  # full-adjacency walk sees each triangle 6x
 
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
-
     @staticmethod
     def _full_adjacency(csr: CSRGraph) -> CSRGraph:
-        """Symmetric adjacency the kernel walks (Figure 5 semantics)."""
-        if not csr.is_oriented():
-            return csr
-        return undirected_csr(csr.edge_array())
+        """Symmetric adjacency the kernel walks (Figure 5 semantics).
+
+        Memoised per process by content digest, for the last
+        :data:`_FULL_SLOTS` graphs: a warm cell reuses the same immutable
+        arrays, whose launch digests are memoised too.
+        """
+        key = csr.content_digest()
+        full = _FULL.get(key)
+        if full is None:
+            full = undirected_csr(csr.edge_array()) if csr.is_oriented() else csr
+            if len(_FULL) >= _FULL_SLOTS:
+                del _FULL[next(iter(_FULL))]
+            _FULL[key] = full
+        return full
 
     def count_structural(self, csr: CSRGraph) -> int:
         full = self._full_adjacency(csr)

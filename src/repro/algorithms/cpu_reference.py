@@ -5,7 +5,7 @@ the test suite cross-checks them against each other, against networkx, and
 against every algorithm's own ``count``:
 
 * :func:`count_triangles_oriented` — vectorised per-edge intersection on an
-  oriented CSR (the production fast path every algorithm reuses);
+  oriented CSR (every algorithm's ``count``, and the facts store's filler);
 * :func:`count_triangles_matrix` — ``trace(A^3) / 6`` via sparse matrix
   algebra (the paper's "Matrix Multiplication" strawman of Figure 1(c));
 * :func:`count_triangles_node_iterator` — textbook node-iterator over the
@@ -34,8 +34,10 @@ def count_triangles_oriented(csr: CSRGraph) -> int:
 
     Sums ``|N(u) ∩ N(v)|`` over stored edges; on an oriented graph every
     triangle is counted exactly once, at its lowest-ranked vertex.  The
-    result is memoised on the (immutable) graph: warm replays re-verify
-    the same replica or partition subgraph on every run.
+    result is memoised on the (immutable) graph object, so repeated checks
+    of one graph count it once.  Runs read their count from the facts
+    store (:mod:`repro.graph.facts`), which never reads or writes this
+    memo: the reference stays an independent check of what it holds.
     """
     cached = csr.__dict__.get("_tri_count")
     if cached is None:

@@ -33,7 +33,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.binsearch import binsearch_intersect_count
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["Fox", "fox_bin"]
 
@@ -164,9 +163,6 @@ class Fox(TCAlgorithm):
     reference = "Fox et al., HPEC 2018"
 
     block_dim = 256
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         total = 0

@@ -22,7 +22,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.merge import merge_intersect_count, merge_path_partition
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["Green"]
 
@@ -94,9 +93,6 @@ class Green(TCAlgorithm):
     reference = "Green, Yalamanchili & Munguia, IA3 2014"
 
     block_dim = 512
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         """Partition every edge's merge into 32 slices, count per slice."""

@@ -39,7 +39,6 @@ from ..gpu.memory import DeviceArray, GlobalMemory
 from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["GroupTC"]
 
@@ -147,9 +146,6 @@ class GroupTC(TCAlgorithm):
     reference = "this paper, Section V"
 
     block_dim = 256  # chunk size n: one block computes n consecutive edges
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         """Follow the kernel: tail-of-row tables, flip rule, binary search."""

@@ -23,7 +23,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.hashtable import FixedBucketHashTable
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["HIndex"]
 
@@ -119,9 +118,6 @@ class HIndex(TCAlgorithm):
     reference = "Pandey et al., HPEC 2019"
 
     block_dim = 256
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         total = 0

@@ -26,7 +26,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.binsearch import binsearch_intersect_count
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["Hu"]
 
@@ -102,9 +101,6 @@ class Hu(TCAlgorithm):
     reference = "Hu, Guan & Zou, ICDEW 2019"
 
     block_dim = 64  # the paper tunes block size; small vertices dominate
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         total = 0

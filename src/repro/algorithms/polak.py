@@ -17,7 +17,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.merge import merge_intersect_count
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["Polak"]
 
@@ -71,9 +70,6 @@ class Polak(TCAlgorithm):
     reference = "Polak, IPDPSW 2016"
 
     block_dim = 256
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         total = 0

@@ -30,7 +30,6 @@ from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
 from ..intersect.binsearch import binsearch_intersect_count
 from .base import CSRBuffers, TCAlgorithm, register
-from .cpu_reference import count_triangles_oriented
 
 __all__ = ["TriCore", "heap_to_array_index"]
 
@@ -150,9 +149,6 @@ class TriCore(TCAlgorithm):
     reference = "Hu, Liu & Huang, SC 2018"
 
     block_dim = 256
-
-    def count(self, csr: CSRGraph) -> int:
-        return count_triangles_oriented(csr)
 
     def count_structural(self, csr: CSRGraph) -> int:
         total = 0

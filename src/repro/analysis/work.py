@@ -71,27 +71,20 @@ precomputed once per CSR entry.  Probes are expanded in chunks of
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import io
+from ..graph import facts
 from ..graph.csr import CSRGraph
-from ..obs.metrics import get_metrics
 
 __all__ = [
     "WorkEfficiency",
     "WORK_MODELS",
-    "WORK_SCHEMA",
     "comparisons_performed",
     "lower_bound_comparisons",
     "work_efficiency",
 ]
-
-#: Bump whenever a model's count for some graph changes: stored counts
-#: (:func:`work_efficiency`) carry it in their key.
-WORK_SCHEMA = 1
 
 _I64 = np.int64
 
@@ -571,28 +564,14 @@ def work_efficiency(csr: CSRGraph, algorithm: str) -> WorkEfficiency:
 
     A pure function of the graph: identical under the event and vectorized
     engines, under batched and per-launch replay, and across devices.  So
-    the two counts are computed once per graph and model and stored in the
-    replica cache (:mod:`repro.graph.io`), keyed by the graph's content
-    digest, the model and :data:`WORK_SCHEMA`.  A stored entry is
-    CRC-checked when read; a corrupt or malformed one is dropped and
-    recomputed.  Time spent computing, and store hits and misses, feed the
-    metrics registry (``work_model_s``, ``work_store_hits``,
-    ``work_store_misses``).
+    both counts are read from the graph's facts bundle
+    (:mod:`repro.graph.facts`), computed there on first use; time spent
+    computing feeds the registry as ``work_model_s``.
     """
     model = _model(algorithm)
     name = model.__name__[1:].removesuffix("_comparisons")
-    key = f"work-{name}-{csr.content_digest()}-w{WORK_SCHEMA}"
-    registry = get_metrics()
-    stored = io.load_cached_arrays(key)
-    counts = None if stored is None else stored.get("counts")
-    if counts is not None and counts.shape == (2,):
-        registry.inc("work_store_hits")
-        return WorkEfficiency(algorithm, int(counts[0]), int(counts[1]))
-    if stored is not None:
-        io.drop_cached_arrays(key)
-    t0 = time.perf_counter()
-    we = WorkEfficiency(algorithm, int(model(csr)), lower_bound_comparisons(csr))
-    registry.inc("work_model_s", time.perf_counter() - t0)
-    registry.inc("work_store_misses")
-    io.store_cached_arrays(key, counts=np.array([we.comparisons, we.lower_bound], dtype=_I64))
-    return we
+    return WorkEfficiency(
+        algorithm,
+        facts.fact(csr, f"comparisons_{name}", model, "work_model_s"),
+        facts.fact(csr, "lower_bound", lower_bound_comparisons, "work_model_s"),
+    )

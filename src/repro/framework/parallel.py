@@ -35,7 +35,7 @@ from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
 from ..graph.datasets import warm_cache
 from ..obs.tracer import absorb_forwarded, get_tracer, run_forwarded
-from .resilience import _failed_record, _resolve_jobs, default_jobs, execute_cell
+from .resilience import _failed_record, _resolve_jobs, default_jobs, execute_cell, prepare_fork
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord
 
 __all__ = ["default_jobs", "run_cells", "parallel_starmap"]
@@ -89,6 +89,7 @@ def parallel_starmap(
         return results
 
     get_tracer().info("fanout", jobs=jobs, items=total)
+    prepare_fork()
     stranded: list[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(run_forwarded, fn, *args): i for i, args in enumerate(argtuples)}

@@ -50,6 +50,8 @@ from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
 from ..graph import io as gio
 from ..graph.datasets import get_spec, load_oriented, size_class, warm_cache
+from ..graph.csr import CSRGraph
+from ..graph.facts import facts_key
 from ..obs.flightrec import maybe_dump
 from ..obs.metrics import get_metrics
 from ..obs.tracer import absorb_forwarded, get_tracer, run_forwarded
@@ -72,6 +74,7 @@ __all__ = [
     "expected_triangles",
     "new_run_id",
     "parse_chaos",
+    "prepare_fork",
     "record_from_dict",
     "record_to_dict",
     "run_cell_resilient",
@@ -205,7 +208,8 @@ def chaos_from_env() -> tuple[ChaosSpec, ...]:
 
 
 def corrupt_cached_bundle(dataset: str, *, ordering: str = "degree") -> None:
-    """Flip bytes in the middle of a dataset's cached ``.npz`` bundles.
+    """Flip bytes in the middle of a dataset's cached ``.npz`` bundles: its
+    edges, its oriented CSR and that CSR's facts (:mod:`repro.graph.facts`).
 
     The injection half of the corrupt-cache recovery path: the loaders must
     detect the damage (zip parse failure or checksum mismatch), treat the
@@ -215,10 +219,14 @@ def corrupt_cached_bundle(dataset: str, *, ordering: str = "degree") -> None:
         spec = get_spec(dataset)
     except KeyError:
         return
-    keys = (
-        gio.cache_key("csr", spec.name, ordering=ordering, seed=spec.seed),
-        gio.cache_key("edges", spec.name, seed=spec.seed),
-    )
+    csr_key = gio.cache_key("csr", spec.name, ordering=ordering, seed=spec.seed)
+    keys = [csr_key, gio.cache_key("edges", spec.name, seed=spec.seed)]
+    # The facts key needs the graph's digest.  Read it from the intact
+    # bundle, not through ``load_oriented``: that would memoise the graph
+    # in this process, and an in-process cell would never read the damage.
+    intact = gio.load_cached_arrays(csr_key)
+    if intact is not None:
+        keys.append(facts_key(CSRGraph(row_ptr=intact["row_ptr"], col=intact["col"])))
     for key in keys:
         path = gio.cache_dir() / f"{key}.npz"
         if not path.exists():
@@ -734,14 +742,22 @@ def is_worker_death(record: RunRecord) -> bool:
     )
 
 
+def prepare_fork() -> None:
+    """Load in the parent what every forked worker would otherwise load alone.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call (13-18 ms), and
+    every launch fingerprint and facts key needs the code digest; a pool
+    worker or per-attempt child forked after this inherits both.
+    """
+    import numpy.ma  # noqa: F401
+
+    gio.code_digest()
+
+
 @functools.lru_cache(maxsize=1)
 def _mp_context():
     """Prefer ``fork`` (workers inherit warm replica caches) when available."""
-    # ``np.unique`` imports ``numpy.ma`` on its first call (~13 ms).  Import
-    # it once here, in the parent, so a per-attempt child inherits it
-    # instead of paying for it on every job.
-    import numpy.ma  # noqa: F401
-
+    prepare_fork()
     try:
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

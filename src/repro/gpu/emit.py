@@ -62,7 +62,7 @@ import functools
 
 import numpy as np
 
-from ..obs.attribution import LocationTable
+from ..obs.attribution import LocationTable, package_path
 from .engine import _writeback_log
 from .memory import DeviceArray
 from .metrics import SECTOR_BYTES
@@ -113,7 +113,8 @@ _SYNC_ROW = 1 << 16
 
 
 def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
-    """Every yield of ``code`` in bytecode order, as ``(key, (file, line))``.
+    """Every yield of ``code`` in bytecode order, as ``(key, (file, line))``
+    with the file named by :func:`~repro.obs.attribution.package_path`.
 
     ``key`` is the yielded tuple's ``(op, tag)``: the first two string
     constants loaded since the previous yield, or the head of a folded
@@ -133,7 +134,7 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
             else:
                 key = VARIABLE
             line = next(n for a, b, n in code.co_lines() if a <= ins.offset < b)
-            out.append((key, (code.co_filename, line)))
+            out.append((key, (package_path(code.co_filename), line)))
             strs = []
         elif ins.opname == "LOAD_CONST" and isinstance(ins.argval, str):
             strs.append(ins.argval)

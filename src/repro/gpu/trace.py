@@ -16,7 +16,8 @@ That is what makes the trace cache profitable — a sweep that varies only
 the device or the cost model replays the same trace under different cache
 capacities without re-running a single generator.  The cache key therefore
 fingerprints exactly the record-phase inputs: the kernel (module-qualified
-program name), the launch configuration (grid/block/shared/warp width and
+program name, and :func:`repro.graph.io.code_digest` over the kernel and
+simulator sources), the launch configuration (grid/block/shared/warp width and
 the sampled block set), and the *content* of every device-array argument,
 so a multi-kernel algorithm whose later launches consume earlier launches'
 output is keyed by the actual intermediate data.
@@ -66,7 +67,8 @@ __all__ = [
     "trace_cache_enabled",
 ]
 
-#: Bump to invalidate every previously recorded trace (schema change).
+#: Bump to invalidate every previously recorded trace; an edit to a kernel
+#: or to ``gpu/`` already changes the key through the code digest.
 #: v2 added the per-row ``loc`` stream + interned source-location table
 #: (nvprof-style source-level attribution survives cache round-trips).
 #: v3 fingerprints array arguments by per-array content digest (memoised
@@ -366,7 +368,7 @@ def launch_fingerprint(
     warp_size: int,
     blocks,
 ) -> str | None:
-    """Hex digest of (kernel, input data, launch config), or ``None``.
+    """Hex digest of (kernel, code digest, input data, launch config), or ``None``.
 
     ``None`` means the launch cannot be safely fingerprinted — the program
     closes over state outside the argument tuple, or an argument's type is
@@ -376,7 +378,7 @@ def launch_fingerprint(
         return None
     h = hashlib.blake2b(digest_size=20)
     h.update(
-        f"v{TRACE_SCHEMA}|{program.__module__}.{program.__qualname__}"
+        f"v{TRACE_SCHEMA}|{io.code_digest()}|{program.__module__}.{program.__qualname__}"
         f"|{grid_dim}|{block_dim}|{shared_words}|{warp_size}|".encode()
     )
     h.update(np.asarray(blocks, dtype=np.int64).tobytes())

@@ -10,6 +10,8 @@ graphs from here instead of re-running the generators.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -33,6 +35,7 @@ __all__ = [
     "CHECKSUM_KEY",
     "cache_dir",
     "cache_key",
+    "code_digest",
     "disk_cache_enabled",
     "drop_cached_arrays",
     "load_cached_arrays",
@@ -167,6 +170,40 @@ def cache_key(kind: str, name: str, *, ordering: str = "", seed: int = 0,
     parts.append(f"s{seed}")
     parts.append(f"v{version}")
     return "-".join(parts)
+
+
+#: Package-relative sources whose bytes decide what the caches hold: the
+#: kernels and exact counters, the work models, the simulator that records
+#: and replays launches (its memories, sector size and stored counter
+#: totals included), and the attribution that names stored locations.  A
+#: directory covers its ``.py`` files.
+CODE_SOURCES = (
+    "algorithms",
+    "intersect",
+    "gpu",
+    "analysis/work.py",
+    "obs/attribution.py",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """Hex blake2b-64 digest of the source bytes in :data:`CODE_SOURCES`.
+
+    Launch fingerprints and graph-facts keys carry it, so editing a kernel,
+    a work model or the recorder starts those stores cold instead of
+    serving what the old code filled them with.  Computed once per
+    process; a parent that computes it before forking hands it to its
+    workers.
+    """
+    package = Path(__file__).resolve().parents[1]
+    h = hashlib.blake2b(digest_size=8)
+    for source in CODE_SOURCES:
+        path = package / source
+        for file in sorted(path.glob("*.py")) if path.is_dir() else (path,):
+            h.update(file.relative_to(package).as_posix().encode() + b"\0")
+            h.update(file.read_bytes())
+    return h.hexdigest()
 
 
 def _array_checksum(arr: np.ndarray) -> str:

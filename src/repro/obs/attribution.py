@@ -11,6 +11,10 @@ inlined PTX source line).
 Locations are interned per launch in a :class:`LocationTable` (id ``0`` is
 the sentinel "no location") and travel with the recorded trace, so warm
 trace-cache hits replay attribution without re-running a single generator.
+A file inside the package is named relative to the directory holding
+``repro`` (:func:`package_path`, e.g. ``repro/algorithms/polak.py``), so a
+trace store attributes the same lines from any checkout that holds it;
+renderers resolve the name back with :func:`source_path`.
 Aggregation lands in a :class:`LineProfileCollector` — per (file, line):
 ``global_load_requests``, ``global_load_transactions`` (32 B sectors),
 ``warp_steps``, and ``lane_loss`` (the inactive-lane steps divergence
@@ -25,8 +29,10 @@ This module is imported by the simulator core (``gpu/warp.py``,
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 __all__ = [
     "LINE_FIELDS",
@@ -38,6 +44,8 @@ __all__ = [
     "capturing_launches",
     "collecting",
     "innermost_location",
+    "package_path",
+    "source_path",
     "notify_launch",
 ]
 
@@ -49,8 +57,30 @@ LINE_FIELDS = ("global_load_requests", "global_load_transactions", "warp_steps",
 NO_LOCATION = ("", 0)
 
 
+#: the ``repro`` package directory
+_PACKAGE = Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def package_path(filename: str) -> str:
+    """``filename`` as ``repro/...`` with ``/`` separators when it lies in
+    the package; any other file keeps its own name."""
+    try:
+        inner = Path(filename).resolve().relative_to(_PACKAGE)
+    except ValueError:
+        return filename
+    return f"{_PACKAGE.name}/{inner.as_posix()}"
+
+
+def source_path(name: str) -> str:
+    """The file in this checkout that a :func:`package_path` name refers to."""
+    if name.startswith(_PACKAGE.name + "/"):
+        return str(_PACKAGE.parent / name)
+    return name
+
+
 def innermost_location(gen) -> tuple[str, int]:
-    """(filename, lineno) of the yield a suspended generator is parked at.
+    """(package path, lineno) of the yield a suspended generator is parked at.
 
     Follows ``gi_yieldfrom`` to the innermost delegate: a kernel line
     ``yield from group_inclusive_scan(...)`` attributes to the helper's
@@ -65,7 +95,7 @@ def innermost_location(gen) -> tuple[str, int]:
     frame = getattr(gen, "gi_frame", None)
     if frame is None:
         return NO_LOCATION
-    return (gen.gi_code.co_filename, frame.f_lineno)
+    return (package_path(gen.gi_code.co_filename), frame.f_lineno)
 
 
 class LocationTable:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import linecache
 import os
 
-from .attribution import LINE_FIELDS, LineProfileCollector
+from .attribution import LINE_FIELDS, LineProfileCollector, source_path
 
 __all__ = ["render_kernel_table", "render_hot_lines", "render_report"]
 
@@ -92,7 +92,7 @@ def render_hot_lines(
     lines.append(header)
     lines.append("-" * len(header))
     for rank, (loc, values) in enumerate(collector.hot_lines(key, top=top), start=1):
-        fname, lineno = loc
+        fname, lineno = source_path(loc[0]), loc[1]
         short = os.path.relpath(fname, root) if root else os.path.basename(fname)
         src = linecache.getline(fname, lineno).strip()
         pct = 100.0 * values.get(key, 0.0) / total

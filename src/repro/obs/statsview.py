@@ -3,7 +3,7 @@
 Takes a serve ``stats`` frame (or a bare metrics snapshot from a telemetry
 dir / flight-recorder dump) and renders the operator view: queue depth,
 shed level, admission outcomes, trace-store hit rate, latency percentiles,
-engine stage times, and work-model time.  Pure formatting — no sockets, no
+engine stage times, and graph-facts time.  Pure formatting — no sockets, no
 clearing; the CLI owns terminal control.
 """
 
@@ -134,12 +134,13 @@ def render_stats(frame: Mapping[str, Any]) -> str:
             + " ".join(f"{k}={_fmt_s(v)}" for k, v in stage.items())
             + f" emitted={int(emitted)}/{int(recorded)}"
         )
-    work_hits = counters.get("work_store_hits", 0)
-    work_total = work_hits + counters.get("work_store_misses", 0)
-    if work_total:
+    facts_hits = counters.get("facts_store_hits", 0)
+    facts_total = facts_hits + counters.get("facts_store_misses", 0)
+    if facts_total:
         lines.append(
-            f"  work model: {_fmt_s(counters.get('work_model_s', 0.0))} computing"
-            f" | store {int(work_hits)}/{int(work_total)} hits"
+            f"  graph facts: exact count {_fmt_s(counters.get('exact_count_s', 0.0))}"
+            f" work model {_fmt_s(counters.get('work_model_s', 0.0))}"
+            f" | store {int(facts_hits)}/{int(facts_total)} hits"
         )
     if counters.get("sim_launches"):
         lines.append(

@@ -27,6 +27,7 @@ from repro.gpu.device import SIM_V100, get_device
 from repro.gpu.engine import check_emitters, emitter_mismatches, record_launch
 from repro.gpu.kernel import launch_kernel
 from repro.gpu.trace import reset_trace_cache
+from repro.obs.attribution import package_path, source_path
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.statsview import render_stats
 from repro.obs.tracer import BufferSink, Tracer, set_tracer
@@ -146,8 +147,8 @@ def test_random_graphs(csr, block_dim, grid_divisor, max_blocks):
 def test_site_lines_name_the_kernel_yields():
     assert len(SITES.lines) == len(SITES.keys) == 11
     for (op, tag), (path, line) in zip(SITES.keys, SITES.lines):
-        assert path == _green_thread.__code__.co_filename
-        assert f'("{op}", "{tag}"' in linecache.getline(path, line)
+        assert path == package_path(_green_thread.__code__.co_filename)
+        assert f'("{op}", "{tag}"' in linecache.getline(source_path(path), line)
 
 
 def test_record_launch_uses_the_emitter():

@@ -26,6 +26,7 @@ from repro.graph.generators import complete_graph
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100, get_device
 from repro.gpu.trace import OP_WSYNC
+from repro.obs.attribution import package_path, source_path
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.verify.fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, fixture_csr, fixture_names
 from tests.emit_checks import algorithm_launches, assert_identical, issued_lines
@@ -136,8 +137,8 @@ def test_random_graphs(csr, block_dim, edges_per_warp, max_blocks):
 def test_site_lines_name_the_kernel_yields():
     """A multi-line yield reports the line its ``yield`` keyword is on."""
     for (key, (path, line)) in zip(SITES.keys, SITES.lines):
-        assert path == _hindex_thread.__code__.co_filename
-        text = "".join("".join(linecache.getline(path, line + k).split()) for k in range(3))
+        assert path == package_path(_hindex_thread.__code__.co_filename)
+        text = "".join("".join(linecache.getline(source_path(path), line + k).split()) for k in range(3))
         site = '("w",)' if key == ("w",) else f'("{key[0]}","{key[1]}",'
         assert "yield" + site in text
 

@@ -9,16 +9,23 @@ If attribution ever drifts from the metrics, the profiler is lying.
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.framework.cli import main
 from repro.framework.compare import run_matrix
 from repro.framework.parallel import run_cells
 from repro.framework.resilience import RunJournal
 from repro.gpu.engine import event_oracle
 from repro.gpu.metrics import ProfileMetrics
+from repro.gpu.trace import reset_trace_cache
+from repro.gpu.tracestore import reset_trace_store
 from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
 from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
 from repro.obs.session import profile_run
@@ -236,6 +243,51 @@ def test_engines_attribute_identically():
             assert values[field] == pytest.approx(
                 evt.collector.lines[loc][field], rel=1e-6
             ), (loc, field)
+
+
+def test_trace_store_attributes_under_another_package_root(tmp_path, monkeypatch):
+    """Stored traces name package-relative files, so a checkout at another
+    root reads a store recorded here and attributes the same lines to its
+    own copies of the sources."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    reset_trace_cache()
+    reset_trace_store()
+    try:
+        here = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
+    finally:
+        reset_trace_cache()
+        reset_trace_store()
+    assert here.collector.lines
+    assert not any(os.path.isabs(f) for f, _ in here.collector.lines)
+    root = tmp_path / "elsewhere"
+    shutil.copytree(
+        Path(repro.__file__).parent, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    script = (
+        "import json, sys\n"
+        "from repro.obs.attribution import source_path\n"
+        "from repro.obs.metrics import get_metrics\n"
+        "from repro.obs.report import render_hot_lines\n"
+        "from repro.obs.session import profile_run\n"
+        "s = profile_run('Polak', 'As-Caida', max_blocks_simulated=4)\n"
+        "m = get_metrics()\n"
+        "json.dump({'lines': [[f, n, v] for (f, n), v in s.collector.lines.items()],\n"
+        "           'files': sorted({source_path(f) for f, _ in s.collector.lines}),\n"
+        "           'report': render_hot_lines(s.collector),\n"
+        "           'disk_hits': m.get('trace_cache_disk_hits'),\n"
+        "           'misses': m.get('trace_cache_misses')}, sys.stdout)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root), "REPRO_CACHE_DIR": str(cache)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    there = json.loads(out.stdout)
+    assert there["disk_hits"] > 0 and there["misses"] == 0  # nothing re-recorded
+    assert {(f, n): v for f, n, v in there["lines"]} == here.collector.lines
+    assert all(f.startswith(str(root / "repro")) for f in there["files"])
+    assert 'yield ("g"' in there["report"]  # source text read from the copy
 
 
 # -- timeline & Chrome export ------------------------------------------------

@@ -1,5 +1,8 @@
 """Parallel comparison-matrix executor (repro.framework.parallel)."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.framework import run_matrix
@@ -145,6 +148,23 @@ class TestHelpers:
     def test_parallel_starmap_serial_equals_parallel(self):
         args = [(i, 2) for i in range(5)]
         assert parallel_starmap(_add, args, jobs=1) == parallel_starmap(_add, args, jobs=2)
+
+    def test_pool_workers_inherit_numpy_ma_and_code_digest(self):
+        """Workers fork with ``numpy.ma`` imported and the code digest
+        computed, so no worker pays for either itself."""
+        script = (
+            "import sys\n"
+            "from repro.framework.parallel import parallel_starmap\n"
+            "from repro.graph import io\n"
+            "def probe(_):\n"
+            "    return 'numpy.ma' in sys.modules, io.code_digest.cache_info().currsize\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "print(parallel_starmap(probe, [(0,), (1,)], jobs=2))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[(True, 1), (True, 1)]"
 
 
 def _add(a, b):

@@ -513,3 +513,31 @@ class TestCorruptCacheRecovery:
         m = run_matrix(ALGS, (DS,), max_blocks_simulated=4, validate=True)
         assert all(r.status == "ok" for r in m.records)
         assert len({r.triangles for r in m.records}) == 1
+        # The matrix warmed the replica before the drill, so its cells ran on
+        # the intact graph in memory.  The next process to load the replica
+        # reads the damaged bundles: it must drop and rewrite both.
+        keys = (
+            gio.cache_key("csr", DS, ordering="degree", seed=11),
+            gio.cache_key("edges", DS, seed=11),
+        )
+        dropped = []
+        drop = gio.drop_cached_arrays
+        monkeypatch.setattr(gio, "drop_cached_arrays", lambda key: (dropped.append(key), drop(key)))
+        monkeypatch.delenv(CHAOS_ENV)
+        load_edges.cache_clear()
+        load_oriented.cache_clear()
+        again = run_matrix(ALGS, (DS,), max_blocks_simulated=4, validate=True)
+        assert [r.status for r in again.records] == ["ok"] * len(ALGS)
+        assert [r.triangles for r in again.records] == [r.triangles for r in m.records]
+        assert set(keys) <= set(dropped)
+        for key in keys:
+            assert gio.load_cached_arrays(key) is not None, key
+
+    def test_corrupt_drill_loads_nothing_into_the_process(self, tmp_cache):
+        load_oriented(DS)  # populate the tmp disk cache so there is a bundle
+        load_edges.cache_clear()
+        load_oriented.cache_clear()
+        corrupt_cached_bundle(DS)
+        # A cell run after the drill in this process must read the damage.
+        assert load_oriented.cache_info().currsize == 0
+        assert load_edges.cache_info().currsize == 0

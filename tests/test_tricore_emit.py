@@ -23,6 +23,7 @@ from repro.graph.datasets import load_oriented
 from repro.graph.edgelist import clean_edges
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100, get_device
+from repro.obs.attribution import package_path, source_path
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.verify.fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, fixture_csr, fixture_names
 from tests.emit_checks import algorithm_launches, assert_identical, issued_lines
@@ -143,8 +144,8 @@ def test_random_graphs(csr, block_dim, edges_per_warp, cache_nodes, max_blocks):
 
 def test_site_lines_name_the_kernel_yields():
     for (key, (path, line)) in zip(SITES.keys, SITES.lines):
-        assert path == _tricore_thread.__code__.co_filename
-        text = "".join(linecache.getline(path, line).split())
+        assert path == package_path(_tricore_thread.__code__.co_filename)
+        text = "".join(linecache.getline(source_path(path), line).split())
         site = '("w",)' if key == ("w",) else f'("{key[0]}","{key[1]}",'
         assert "yield" + site in text
 

@@ -35,6 +35,7 @@ from repro.graph import CSRGraph, oriented_csr
 from repro.graph.datasets import load_oriented
 from repro.graph.edgelist import clean_edges
 from repro.graph.generators import complete_graph
+from repro.obs.attribution import package_path, source_path
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.verify.fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, fixture_csr, fixture_names
 from tests.emit_checks import algorithm_launches, assert_identical, issued_lines
@@ -203,8 +204,8 @@ def test_site_lines_name_the_kernel_yields():
     the ``yield sync`` line."""
     for sites in (WARP_SITES, BLOCK_SITES):
         for key, declared, (path, line) in zip(sites.keys, sites.declared, sites.lines):
-            assert path == _trust_thread.__code__.co_filename
-            text = "".join(linecache.getline(path, line).split())
+            assert path == package_path(_trust_thread.__code__.co_filename)
+            text = "".join(linecache.getline(source_path(path), line).split())
             expected = "yieldsync" if declared == () else f'yield("{key[0]}","{key[1]}",'
             assert expected in text
 

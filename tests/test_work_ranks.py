@@ -1,5 +1,5 @@
 """Rank-derived work models: the search-depth table, random graphs, chunking,
-and the per-graph count store.
+and the counts' entries in the per-graph facts store.
 
 ``tests/test_work_metrics.py`` pins every model to a naive per-edge replay
 of its kernel loop on the golden fixtures; here the same references run on
@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import work
 from repro.analysis.work import (
-    WORK_SCHEMA,
     WorkEfficiency,
     comparisons_performed,
     lower_bound_comparisons,
     work_efficiency,
 )
 from repro.graph import io
+from repro.graph.csr import CSRGraph
+from repro.graph.facts import facts_key, reset_facts
 from repro.graph.generators import chung_lu, star
 from repro.graph.orientation import orient_by_degree, oriented_csr
 from repro.obs.metrics import MetricsRegistry, set_metrics
@@ -96,10 +97,12 @@ def test_chunking_does_not_change_counts(monkeypatch):
 def registry(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+    reset_facts()
     fresh = MetricsRegistry()
     previous = set_metrics(fresh)
     yield fresh
     set_metrics(previous)
+    reset_facts()
 
 
 def _computed(csr, algorithm):
@@ -107,50 +110,72 @@ def _computed(csr, algorithm):
 
 
 def _stored_files(tmp_path):
-    return sorted(p.name for p in tmp_path.glob("work-*.npz"))
+    return sorted(p.name for p in tmp_path.glob("facts-*.npz"))
+
+
+def _replica(fixture):
+    """A golden fixture marked as a replica, so the store persists its facts."""
+    csr = fixture_csr(fixture)
+    return CSRGraph(row_ptr=csr.row_ptr, col=csr.col, meta={"dataset": fixture})
 
 
 def test_store_computes_once_per_graph_and_model(registry, tmp_path):
-    csr = fixture_csr("powerlaw-120")
+    csr = _replica("powerlaw-120")
     first = work_efficiency(csr, "Green")
     assert first == _computed(csr, "Green")
-    assert _stored_files(tmp_path) == [f"work-green-{csr.content_digest()}-w{WORK_SCHEMA}.npz"]
+    assert _stored_files(tmp_path) == [f"{facts_key(csr)}.npz"]
     assert work_efficiency(csr, "Green") == first
-    assert registry.get("work_store_misses") == 1
-    assert registry.get("work_store_hits") == 1
+    # The first call filled the count and the bound; the second read both.
+    assert registry.get("facts_store_misses") == 2
+    assert registry.get("facts_store_hits") == 2
     assert registry.get("work_model_s") > 0
-    # Aliases share a model; another graph gets its own entry.
+    # Aliases share a model's entry; another graph gets its own bundle.
     assert work_efficiency(csr, "hindex") == _computed(csr, "hindex")
     assert work_efficiency(csr, "H-INDEX") == _computed(csr, "H-INDEX")
-    other = fixture_csr("wheel-24")
+    other = _replica("wheel-24")
     assert work_efficiency(other, "Green") == _computed(other, "Green")
-    assert len(_stored_files(tmp_path)) == 3
-    assert registry.get("work_store_hits") == 2
+    assert len(_stored_files(tmp_path)) == 2
+    assert set(io.load_cached_arrays(facts_key(csr))) == {
+        "lower_bound", "comparisons_green", "comparisons_hindex",
+    }
+    assert registry.get("facts_store_misses") == 5
+    # A fresh process reads the bundle back: nothing is computed again.
+    reset_facts()
+    assert work_efficiency(csr, "hindex") == _computed(csr, "hindex")
+    assert registry.get("facts_store_misses") == 5
+    assert registry.get("facts_store_hits") == 7
 
 
 @pytest.mark.parametrize("damage", ["garbage", "wrong-shape"])
 def test_store_heals_a_bad_entry(registry, tmp_path, damage):
-    csr = fixture_csr("star-cliques")
+    csr = _replica("star-cliques")
     expected = _computed(csr, "TRUST")
     work_efficiency(csr, "TRUST")
-    (path,) = tmp_path.glob("work-*.npz")
+    (path,) = tmp_path.glob("facts-*.npz")
     if damage == "garbage":
         path.write_bytes(b"not a bundle")
     else:
-        io.store_cached_arrays(path.stem, counts=np.array([1, 2, 3]))
+        io.store_cached_arrays(path.stem, comparisons_trust=np.array([1, 2, 3]), lower_bound=np.array(7))
+    # The damage is on disk only: read it back as a fresh process would.
+    reset_facts()
     assert work_efficiency(csr, "TRUST") == expected
-    assert registry.get("work_store_misses") == 2
+    assert registry.get("facts_store_misses") == 4
+    reset_facts()
     assert work_efficiency(csr, "TRUST") == expected
-    assert registry.get("work_store_hits") == 1
+    assert registry.get("facts_store_hits") == 2
 
 
 def test_store_respects_disabled_disk_cache(registry, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    csr = fixture_csr("clique-12")
+    csr = _replica("clique-12")
     assert work_efficiency(csr, "Polak") == _computed(csr, "Polak")
     assert work_efficiency(csr, "Polak") == _computed(csr, "Polak")
     assert _stored_files(tmp_path) == []
-    assert registry.get("work_store_misses") == 2
+    # The per-process layer still holds the counts; a new process recounts.
+    assert registry.get("facts_store_misses") == 2
+    reset_facts()
+    assert work_efficiency(csr, "Polak") == _computed(csr, "Polak")
+    assert registry.get("facts_store_misses") == 4
 
 
 def test_store_rejects_unknown_models(registry, tmp_path):
@@ -170,8 +195,14 @@ def test_run_one_reads_stored_counts(registry):
     from repro.framework.runner import run_one
 
     first = run_one("TriCore", "As-Caida", max_blocks_simulated=1)
+    reset_facts()  # the second run reads the bundle as a fresh process would
     again = run_one("TriCore", "As-Caida", max_blocks_simulated=1)
-    assert (first.comparisons, first.work_ratio) == (again.comparisons, again.work_ratio)
-    assert registry.get("work_store_hits") == 1
+    assert (first.triangles, first.comparisons, first.work_ratio) == (
+        again.triangles, again.comparisons, again.work_ratio,
+    )
+    # count, bound and comparisons: filled once, then read once each
+    assert registry.get("facts_store_misses") == 3
+    assert registry.get("facts_store_hits") == 3
+    assert registry.get("exact_count_s") > 0
     text = render_stats(registry.snapshot())
-    assert "work model:" in text and "store 1/2 hits" in text
+    assert "graph facts:" in text and "store 3/6 hits" in text
