@@ -11,6 +11,7 @@ Mirrors how the paper's framework is driven from a shell::
     python -m repro.framework.cli --run-id nightly --cell-timeout 120 \\
         --validate figure sim_time_s
     python -m repro.framework.cli --resume nightly figure sim_time_s
+    python -m repro.framework.cli cache prune
 
 All subcommands print to stdout; ``figure``/``speedup`` accept ``--csv``
 to dump the raw matrix instead of the formatted series.  The resilience
@@ -28,7 +29,9 @@ import time
 
 from ..algorithms.base import algorithm_names, get_algorithm
 from ..gpu.device import get_device
+from ..gpu.trace import TRACE_SCHEMA
 from ..graph.datasets import dataset_names, load_oriented
+from ..graph.io import prune_cache
 from ..obs.attribution import LINE_FIELDS
 from ..obs.flightrec import install_flight_recorder, maybe_dump
 from ..obs.metrics import to_prometheus
@@ -268,6 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="graceful-shutdown drain budget; jobs still queued "
                     "after it stay journaled for the next boot")
 
+    ca = sub.add_parser(
+        "cache",
+        help="maintain the on-disk cache: prune deletes the files this code "
+        "can never read (old formats, versions and code digests)",
+    )
+    ca.add_argument("action", choices=("prune",))
+
     st = sub.add_parser(
         "stats",
         help="live service health: queue depth, shed level, admission "
@@ -356,6 +366,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "table2":
         print(render_table2())
+        return 0
+
+    if args.command == "cache":
+        removed, freed = prune_cache(TRACE_SCHEMA)
+        print(f"pruned {removed} files, {freed / 1e6:.1f} MB freed")
         return 0
 
     if args.command == "count":

@@ -19,8 +19,8 @@ through :func:`parallel_starmap`, which keeps the serial contract exactly:
 :func:`run_cells` maps matrix cells onto
 :func:`~repro.framework.resilience.execute_cell` and turns a culprit's
 exception or death into a ``status="failed"`` record; the parent warms the
-on-disk replica cache (see :mod:`repro.graph.io`) first, so workers load
-``.npz`` bundles instead of re-running the graph generators.  Supervised
+on-disk replica cache (see :mod:`repro.graph.io`) first, so workers map
+the stored replicas instead of re-running the graph generators.  Supervised
 runs (journal, resume, timeouts, validation) go through
 :func:`~repro.framework.resilience.run_cells_resilient` instead.
 """

@@ -208,12 +208,14 @@ def chaos_from_env() -> tuple[ChaosSpec, ...]:
 
 
 def corrupt_cached_bundle(dataset: str, *, ordering: str = "degree") -> None:
-    """Flip bytes in the middle of a dataset's cached ``.npz`` bundles: its
-    edges, its oriented CSR and that CSR's facts (:mod:`repro.graph.facts`).
+    """Flip bytes in the middle of a dataset's store files: its edges, its
+    oriented CSR and that CSR's facts (:mod:`repro.graph.facts`).
 
     The injection half of the corrupt-cache recovery path: the loaders must
-    detect the damage (zip parse failure or checksum mismatch), treat the
-    bundle as a miss, and regenerate — never compute on garbage.
+    detect the damage (digest mismatch), treat the file as a miss, and
+    regenerate — never compute on garbage.  The damaged copy replaces the
+    file rather than overwriting it in place, as bit rot found by the next
+    reader would: a process that already maps the intact file keeps it.
     """
     try:
         spec = get_spec(dataset)
@@ -228,14 +230,16 @@ def corrupt_cached_bundle(dataset: str, *, ordering: str = "degree") -> None:
     if intact is not None:
         keys.append(facts_key(CSRGraph(row_ptr=intact["row_ptr"], col=intact["col"])))
     for key in keys:
-        path = gio.cache_dir() / f"{key}.npz"
+        path = gio.store_path(key)
         if not path.exists():
             continue
         data = bytearray(path.read_bytes())
         mid = len(data) // 2
         for i in range(mid, min(mid + 64, len(data))):
             data[i] ^= 0xFF
-        path.write_bytes(bytes(data))
+        damaged = path.with_name(f".{path.stem}.damaged.tmp")
+        damaged.write_bytes(bytes(data))
+        os.replace(damaged, path)
 
 
 def chaos_kill_budget_path() -> Path:

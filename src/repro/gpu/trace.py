@@ -438,18 +438,23 @@ def _memory_budget_bytes() -> int:
 _CACHE_STATS = ("hits", "disk_hits", "misses", "stores", "uncacheable", "evictions")
 
 
-def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
-    empty = np.zeros(0, dtype=np.int64)
+def _trace_to_arrays(trace: LaunchTrace) -> dict:
+    """One launch as store entries: its block streams and writeback log as
+    arrays, geometry, blocks, locations and replay totals as attrs."""
     cat = lambda parts, dtype: (
-        np.concatenate([np.asarray(p) for p in parts]) if parts else empty.astype(dtype)
+        np.concatenate(parts).astype(dtype, copy=False) if parts else np.zeros(0, dtype)
     )
     out = {
-        "meta": np.array(
-            [TRACE_SCHEMA, trace.grid_dim, trace.block_dim, trace.warp_size],
-            dtype=np.int64,
-        ),
-        "blocks": np.asarray(trace.blocks, dtype=np.int64),
-        "instances": trace.instances,
+        "schema": TRACE_SCHEMA,
+        # Read by nothing but ``repro cache prune``: the fingerprint in the
+        # file name already carries the code digest, but cannot be decoded.
+        "code": io.code_digest(),
+        "grid_dim": int(trace.grid_dim),
+        "block_dim": int(trace.block_dim),
+        "warp_size": int(trace.warp_size),
+        "blocks": [int(b) for b in trace.blocks],
+        "locations": [[str(f), int(n)] for f, n in trace.locations],
+        "instances": np.asarray(trace.instances, dtype=np.int64),
         "groups_per_trace": np.array([t.ops.shape[0] for t in trace.unique], dtype=np.int64),
         "payload_per_trace": np.array(
             [t.payload.shape[0] for t in trace.unique], dtype=np.int64
@@ -460,11 +465,7 @@ def _trace_to_arrays(trace: LaunchTrace) -> dict[str, np.ndarray]:
         "npay": cat([t.npay for t in trace.unique], np.int64),
         "payload": cat([t.payload for t in trace.unique], np.int64),
         "loc": cat([t.loc for t in trace.unique], np.int32),
-        # The location table is never empty (entry 0 is the sentinel), so
-        # the unicode array always has a well-defined dtype.
-        "loc_files": np.asarray([f for f, _ in trace.locations]),
-        "loc_lines": np.asarray([n for _, n in trace.locations], dtype=np.int64),
-        "writeback": trace.writeback,
+        "writeback": np.asarray(trace.writeback, dtype=np.int64).reshape(-1, 3),
     }
     # Base replay memos, when every block trace has one (i.e. the launch
     # has been replayed at least once).  Persisting them lets a warm
@@ -503,8 +504,8 @@ def _parse_totals(entries) -> dict[tuple[int, int], dict[str, int]]:
     return out
 
 
-def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
-    """Rebuild a trace from a stored bundle, or ``None`` if it is unusable.
+def _trace_from_arrays(arrays: dict) -> LaunchTrace | None:
+    """Rebuild a trace from its store entries, or ``None`` if they are unusable.
 
     Everything small (geometry, writeback, locations, stored totals) is
     parsed here; the block traces are split out of the section arrays only
@@ -512,8 +513,7 @@ def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
     checked now so that the deferred decode cannot fail.
     """
     try:
-        meta = arrays["meta"]
-        if int(meta[0]) != TRACE_SCHEMA:
+        if arrays["schema"] != TRACE_SCHEMA:
             return None
         groups = arrays["groups_per_trace"]
         n_unique, rows = len(groups), int(groups.sum())
@@ -562,13 +562,11 @@ def _trace_from_arrays(arrays: dict[str, np.ndarray]) -> LaunchTrace | None:
             return unique
 
         writeback = np.asarray(arrays["writeback"], dtype=np.int64).reshape(-1, 3)
-        locations = tuple(
-            (str(f), int(n)) for f, n in zip(arrays["loc_files"], arrays["loc_lines"])
-        )
+        locations = tuple((str(f), int(n)) for f, n in arrays["locations"])
         return LaunchTrace(
-            grid_dim=int(meta[1]),
-            block_dim=int(meta[2]),
-            warp_size=int(meta[3]),
+            grid_dim=int(arrays["grid_dim"]),
+            block_dim=int(arrays["block_dim"]),
+            warp_size=int(arrays["warp_size"]),
             blocks=tuple(int(b) for b in arrays["blocks"]),
             unique=decode,
             instances=instances,
@@ -585,13 +583,14 @@ class TraceCache:
     """Two-layer launch-trace cache: in-memory LRU over the disk store.
 
     The memory layer holds live :class:`LaunchTrace` objects (including
-    their replay memos) under a byte budget; the disk layer is the shared
-    mmap-backed trace store (:mod:`repro.gpu.tracestore`, one flat file
-    per trace under ``<cache>/traces/``), so traces survive across
-    processes and CI steps, parallel/cluster/serve workers map the same
-    physical bytes zero-copy, and ``REPRO_CACHE_DIR`` / ``REPRO_DISK_CACHE``
-    are honoured.  Schema and integrity are validated once when a file is
-    mapped; hits served from memory never re-check them.
+    their replay memos) under a byte budget; the disk layer is the cache
+    store (:mod:`repro.graph.io`, one file per trace under
+    ``<cache>/traces/``), so traces survive across processes and CI steps,
+    parallel/cluster/serve workers map the same physical bytes zero-copy,
+    and ``REPRO_CACHE_DIR`` / ``REPRO_DISK_CACHE`` are honoured.  Schema
+    and integrity are validated once when a file is mapped; hits served
+    from memory never re-check them.  Disk outcomes feed the registry's
+    ``trace_store_*`` counters.
     """
 
     def __init__(self, max_bytes: int | None = None):
@@ -617,7 +616,7 @@ class TraceCache:
 
     @staticmethod
     def _disk_key(key: str) -> str:
-        return f"trace-{key}-v{TRACE_SCHEMA}"
+        return f"traces/trace-{key}-v{TRACE_SCHEMA}"
 
     def get(self, key: str) -> LaunchTrace | None:
         entry = self._entries.get(key)
@@ -627,19 +626,14 @@ class TraceCache:
             get_metrics().inc("trace_cache_hits")
             get_tracer().event("trace_cache", level="debug", status="hit", key=key)
             return entry
-        if io.disk_cache_enabled():
-            from .tracestore import get_trace_store
-
-            arrays = get_trace_store().load(self._disk_key(key))
-            if arrays is not None:
-                trace = _trace_from_arrays(arrays)
-                if trace is not None:
-                    get_metrics().inc("trace_cache_disk_hits")
-                    self._insert(key, trace)
-                    get_tracer().event(
-                        "trace_cache", level="debug", status="disk_hit", key=key
-                    )
-                    return trace
+        arrays = io.load_cached_arrays(self._disk_key(key), counters="trace_store")
+        if arrays is not None:
+            trace = _trace_from_arrays(arrays)
+            if trace is not None:
+                get_metrics().inc("trace_cache_disk_hits")
+                self._insert(key, trace)
+                get_tracer().event("trace_cache", level="debug", status="disk_hit", key=key)
+                return trace
         get_metrics().inc("trace_cache_misses")
         get_tracer().event("trace_cache", level="debug", status="miss", key=key)
         return None
@@ -653,10 +647,10 @@ class TraceCache:
             "trace_cache", level="debug", status="store", key=key, nbytes=trace.nbytes
         )
         self._insert(key, trace)
-        if io.disk_cache_enabled():
-            from .tracestore import get_trace_store
-
-            get_trace_store().save(self._disk_key(key), _trace_to_arrays(trace))
+        written = io.store_cached_arrays(self._disk_key(key), **_trace_to_arrays(trace))
+        if written:
+            get_metrics().inc("trace_store_saves")
+            get_metrics().inc("trace_store_bytes_written", written)
 
     def _insert(self, key: str, trace: LaunchTrace) -> None:
         old = self._entries.pop(key, None)

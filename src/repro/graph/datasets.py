@@ -182,7 +182,7 @@ def _cached_csr(key: str, *, oriented: bool) -> CSRGraph | None:
     sortedness; on top of that an *oriented* bundle must satisfy the
     ``u < v`` storage contract (which also excludes self-loops) and an
     undirected one must be self-loop free.  A bundle that fails any check
-    — bit rot that survived the CRC, or a bundle written by buggy code —
+    — one written by buggy code, which the store's digest cannot catch —
     is dropped and treated as a miss, never handed to the kernels.
     """
     cached = io.load_cached_arrays(key)
@@ -217,9 +217,9 @@ def _freeze_csr(csr: CSRGraph, meta: dict) -> CSRGraph:
 def load_edges(name: str) -> np.ndarray:
     """Cleaned undirected edge array for a replica.
 
-    Memoised per process *and* on disk (a versioned ``.npz`` under
+    Memoised per process *and* on disk (a versioned store file under
     :func:`repro.graph.io.cache_dir`), so repeated runs and parallel worker
-    processes load the replica instead of re-running the generator.  The
+    processes map the replica instead of re-running the generator.  The
     returned array is read-only — it is shared by every caller.
     """
     spec = get_spec(name)

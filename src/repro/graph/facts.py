@@ -2,8 +2,8 @@
 and each work model's comparison count, read once per process.
 
 They are pure functions of the graph and of the code computing them, so
-one CRC-checked replica-cache bundle per graph holds them, keyed by
-:meth:`~repro.graph.csr.CSRGraph.content_digest` and
+one store file per graph (:mod:`repro.graph.io`) holds them as header
+attrs, keyed by :meth:`~repro.graph.csr.CSRGraph.content_digest` and
 :func:`~repro.graph.io.code_digest`.  Entries are filled lazily; a fill
 re-reads the bundle, merges and replaces the file atomically, so racing
 workers can lose an entry (a later miss) but never store a wrong value.
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-
-import numpy as np
 
 from ..obs.metrics import get_metrics
 from . import io
@@ -49,10 +47,10 @@ def _read(key: str) -> dict[str, int]:
     stored = io.load_cached_arrays(key)
     if stored is None:
         return {}
-    if any(arr.shape != () or arr.dtype != np.int64 for arr in stored.values()):
+    if any(type(value) is not int for value in stored.values()):
         io.drop_cached_arrays(key)
         return {}
-    return {name: int(arr) for name, arr in stored.items()}
+    return stored
 
 
 def fact(csr: CSRGraph, name: str, fill: Callable[[CSRGraph], int], seconds_metric: str) -> int:
@@ -81,5 +79,5 @@ def fact(csr: CSRGraph, name: str, fill: Callable[[CSRGraph], int], seconds_metr
         # Keep what other processes stored meanwhile, then replace the file.
         for other, stored in _read(key).items():
             entries.setdefault(other, stored)
-        io.store_cached_arrays(key, **{k: np.array(v, dtype=np.int64) for k, v in entries.items()})
+        io.store_cached_arrays(key, **entries)
     return value

@@ -1,11 +1,27 @@
-"""Graph serialisation: the framework's data-transformation tools.
+"""Graph serialisation and the on-disk cache store.
 
 The paper's unified testing framework ships converters between the formats
 the eight implementations consume: text edge lists, binary edge lists, and
-CSR dumps.  We reproduce all three, plus a versioned on-disk replica cache
-so dataset replicas and their oriented CSRs are generated once per machine
-and shared across processes — the parallel matrix executor's workers load
-graphs from here instead of re-running the generators.
+CSR dumps.  We reproduce all three.
+
+Next to them lives the one store behind every disk cache under
+:func:`cache_dir`: dataset replicas (edges and CSRs), per-graph facts
+(:mod:`repro.graph.facts`) and launch traces (:mod:`repro.gpu.trace`, under
+``traces/``).  Each entry is one flat file served as a zero-copy memory
+map, so parallel workers share one physical copy of it.  File layout
+(little-endian)::
+
+    magic     8 B   b"RPRSTO01"
+    hdr_len   8 B   u64, byte length of the JSON header
+    header    ...   JSON: {"attrs": {...}, "sections": {name: [offset,
+                    dtype, shape]}}, offsets relative to the first section
+    padding   ...   zeros up to a 64 B boundary
+    sections  ...   raw C-order array bytes, each 64 B aligned
+    digest   16 B   blake2b-128 over everything before it
+
+The store knows no caller's fields.  Integrity is checked when a file is
+mapped: bad magic, truncation, a digest mismatch or a malformed header read
+as a miss and drop the file, and the caller's next store heals it.
 """
 
 from __future__ import annotations
@@ -13,14 +29,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
+import mmap
 import os
 import tempfile
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 
+from ..obs.metrics import get_metrics
 from .csr import CSRGraph
 from .edgelist import as_edge_array
 
@@ -32,25 +49,23 @@ __all__ = [
     "write_csr",
     "read_csr",
     "CACHE_VERSION",
-    "CHECKSUM_KEY",
+    "STORE_SUFFIX",
     "cache_dir",
     "cache_key",
     "code_digest",
     "disk_cache_enabled",
     "drop_cached_arrays",
     "load_cached_arrays",
+    "prune_cache",
     "store_cached_arrays",
-    "cached_edges",
+    "store_path",
 ]
 
 #: Bump whenever the generators, cleaning, or orientation code changes the
 #: bytes they produce for a given (dataset, ordering, seed) — stale cache
 #: entries are then never read again (the version is part of the file name).
-#: v2: bundles carry per-array CRC32 checksums (see :data:`CHECKSUM_KEY`).
-CACHE_VERSION = 2
-
-#: Reserved bundle entry holding the JSON checksum manifest.
-CHECKSUM_KEY = "__checksums__"
+#: v3: the flat, digest-checked store format (v2 was CRC-checked ``.npz``).
+CACHE_VERSION = 3
 
 
 def write_text_edges(path, edges, *, comment: str | None = None) -> None:
@@ -206,101 +221,208 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
-def _array_checksum(arr: np.ndarray) -> str:
-    """``dtype:shape:crc32`` fingerprint of one bundle array."""
-    data = np.ascontiguousarray(arr)
-    crc = zlib.crc32(data.tobytes())
-    return f"{data.dtype.str}:{'x'.join(map(str, data.shape))}:{crc:08x}"
+# --------------------------------------------------------------------------
+# the one on-disk store: replicas, graph facts and launch traces
+# --------------------------------------------------------------------------
+
+#: Suffix of every store file.  Other suffixes under the cache root are
+#: formats this code can never read (see :func:`prune_cache`).
+STORE_SUFFIX = ".rps"
+_MAGIC = b"RPRSTO01"
+_PREFIX = len(_MAGIC) + 8
+_ALIGN = 64
+_DIGEST_BYTES = 16
 
 
-def _checksums_match(arrays: dict[str, np.ndarray], manifest: dict[str, str]) -> bool:
-    if set(arrays) != set(manifest):
-        return False
-    return all(_array_checksum(arr) == manifest[name] for name, arr in arrays.items())
+def _align(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def store_path(key: str) -> Path:
+    """File of the entry stored under ``key`` (a path relative to the cache
+    root, without suffix: ``csr-...``, ``facts-...``, ``traces/trace-...``)."""
+    return cache_dir() / f"{key}{STORE_SUFFIX}"
 
 
 def drop_cached_arrays(key: str) -> None:
-    """Remove the bundle cached under ``key`` (quarantine a bad entry)."""
+    """Remove the entry stored under ``key`` (quarantine a bad entry)."""
     try:
-        (cache_dir() / f"{key}.npz").unlink()
+        store_path(key).unlink()
     except OSError:
         pass
 
 
-def load_cached_arrays(key: str) -> dict[str, np.ndarray] | None:
-    """Load the array bundle cached under ``key``; None on miss or corruption.
+def store_cached_arrays(key: str, /, **entries) -> int:
+    """Atomically persist ``entries`` under ``key``; the bytes written.
 
-    Bundles written by :func:`store_cached_arrays` carry a per-array CRC32
-    manifest; a bundle whose payload no longer matches its manifest (bit
-    rot, a tampered file, a partially synced copy) is rejected as a miss
-    and deleted, so the caller regenerates instead of computing on garbage.
+    NumPy arrays become raw sections; every other entry is a JSON value in
+    the header's ``attrs``.  The file is written to a temporary name in its
+    directory and renamed into place, so concurrent workers racing to fill
+    one entry never observe a partial file, and a reader's memory map of
+    the previous file stays intact.  A failed write leaves no entry (0 is
+    returned): every store is optional, so a full disk never fails a run.
     """
     if not disk_cache_enabled():
-        return None
-    path = cache_dir() / f"{key}.npz"
+        return 0
+    attrs, sections, arrays, end = {}, {}, [], 0
+    for name, value in entries.items():
+        if not isinstance(value, np.ndarray):
+            attrs[name] = value
+            continue
+        if value.dtype.hasobject:
+            raise TypeError(f"section {name!r} holds Python objects")
+        offset = _align(end)
+        sections[name] = [offset, value.dtype.str, list(value.shape)]
+        arrays.append((offset, value))
+        end = offset + value.nbytes
+    header = json.dumps({"attrs": attrs, "sections": sections}, separators=(",", ":")).encode()
+    start = _align(_PREFIX + len(header))
+    buf = bytearray(start + end)
+    buf[: len(_MAGIC)] = _MAGIC
+    buf[len(_MAGIC) : _PREFIX] = len(header).to_bytes(8, "little")
+    buf[_PREFIX : _PREFIX + len(header)] = header
+    for offset, value in arrays:
+        buf[start + offset : start + offset + value.nbytes] = value.tobytes()
+    digest = hashlib.blake2b(buf, digest_size=_DIGEST_BYTES).digest()
+    path = store_path(key)
+    tmp = None
     try:
-        with np.load(str(path)) as data:
-            arrays = {k: data[k] for k in data.files if k != CHECKSUM_KEY}
-            manifest = (
-                json.loads(str(data[CHECKSUM_KEY])) if CHECKSUM_KEY in data.files else None
-            )
-    except FileNotFoundError:
-        return None
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        EOFError,
-        json.JSONDecodeError,
-        zipfile.BadZipFile,
-        zlib.error,
-    ):
-        # A torn or corrupted file behaves like a miss; the caller
-        # regenerates and overwrites it.  Flipped bytes surface anywhere
-        # from the zip directory (BadZipFile) to a member's deflate stream
-        # (zlib.error) to numpy's header parse (ValueError) depending on
-        # where they land, so all of those read as corruption here.
-        drop_cached_arrays(key)
-        return None
-    if manifest is not None and not _checksums_match(arrays, manifest):
-        drop_cached_arrays(key)
-        return None
-    return arrays
-
-
-def store_cached_arrays(key: str, **arrays: np.ndarray) -> None:
-    """Atomically persist an array bundle under ``key``.
-
-    The bundle is written to a temporary file in the cache directory and
-    renamed into place, so concurrent workers racing to fill the same entry
-    never observe a half-written ``.npz``.  A CRC32 manifest of every array
-    rides along under :data:`CHECKSUM_KEY` for load-time verification.
-    """
-    if not disk_cache_enabled():
-        return
-    if CHECKSUM_KEY in arrays:
-        raise ValueError(f"{CHECKSUM_KEY!r} is reserved for the checksum manifest")
-    directory = cache_dir()
-    path = directory / f"{key}.npz"
-    manifest = {name: _array_checksum(arr) for name, arr in arrays.items()}
-    fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=str(directory))
-    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent)
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays, **{CHECKSUM_KEY: np.array(json.dumps(manifest))})
-        os.replace(tmp, str(path))
-    except BaseException:
+            fh.write(buf)
+            fh.write(digest)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if not isinstance(exc, OSError):
+            raise
+        return 0
+    return len(buf) + _DIGEST_BYTES
+
+
+def _map(path: Path) -> tuple[dict, int] | None:
+    """Entries and byte size of one store file, or ``None`` when it is
+    unusable; a missing file raises :class:`FileNotFoundError`."""
+    with open(path, "rb") as fh:
         try:
-            os.unlink(tmp)
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # empty or unmappable
+            return None
+    n = len(mm)
+    if n < _PREFIX + _DIGEST_BYTES or mm[: len(_MAGIC)] != _MAGIC:
+        return None
+    with memoryview(mm)[: n - _DIGEST_BYTES] as body:
+        if hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest() != mm[n - _DIGEST_BYTES :]:
+            return None
+    try:
+        hdr_len = int.from_bytes(mm[len(_MAGIC) : _PREFIX], "little")
+        header = json.loads(mm[_PREFIX : _PREFIX + hdr_len])
+        entries = dict(header["attrs"])
+        start = _align(_PREFIX + hdr_len)
+        for name, (offset, dtype, shape) in header["sections"].items():
+            dtype, count = np.dtype(dtype), math.prod(shape)
+            if (
+                name in entries
+                or offset < 0
+                or min(shape, default=0) < 0
+                or start + offset + count * dtype.itemsize > n - _DIGEST_BYTES
+            ):
+                return None
+            entries[name] = np.frombuffer(
+                mm, dtype=dtype, count=count, offset=start + offset
+            ).reshape(shape)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return entries, n
+
+
+def load_cached_arrays(key: str, *, counters: str = "") -> dict | None:
+    """The entries stored under ``key``, or ``None`` on a miss.
+
+    Sections come back as zero-copy, read-only views over a shared memory
+    map (parallel workers mapping one file share its pages), attrs as
+    their JSON values.  A file with bad magic, a truncation, a digest
+    mismatch or a malformed header reads as a miss and is dropped, so the
+    caller regenerates and the next store heals it.  With ``counters``,
+    the outcome feeds the registry counters ``<counters>_hits``,
+    ``_misses``, ``_heals`` and ``_bytes_mapped``.
+    """
+    if not disk_cache_enabled():
+        return None
+
+    def count(name: str, amount: float = 1) -> None:
+        if counters:
+            get_metrics().inc(f"{counters}_{name}", amount)
+
+    try:
+        mapped = _map(store_path(key))
+    except FileNotFoundError:
+        count("misses")
+        return None
+    except OSError:
+        mapped = None
+    if mapped is None:
+        drop_cached_arrays(key)
+        count("misses")
+        count("heals")
+        return None
+    entries, size = mapped
+    count("hits")
+    count("bytes_mapped", size)
+    return entries
+
+
+#: Suffixes of files an older format left behind: replica bundles
+#: (``.npz``), launch traces (``.trc``) and interrupted writes (``.tmp``).
+_FOREIGN_SUFFIXES = (".npz", ".trc", ".tmp")
+
+
+def _readable(path: Path, trace_schema: int) -> bool:
+    """Whether the running code can ever read the store file ``path``."""
+    stem = path.stem
+    if path.parent.name == "traces":
+        if not stem.endswith(f"-v{trace_schema}"):
+            return False
+        try:
+            mapped = _map(path)
         except OSError:
-            pass
-        raise
+            return False
+        return mapped is not None and mapped[0].get("code") == code_digest()
+    kind = stem.split("-", 1)[0]
+    if kind == "facts":
+        return stem.endswith(f"-{code_digest()}")
+    if kind in ("edges", "csr", "und"):
+        return stem.endswith(f"-v{CACHE_VERSION}")
+    return True
 
 
-def cached_edges(key: str, builder) -> np.ndarray:
-    """Disk-memoise ``builder()`` (an edge-array factory) under ``key``."""
-    cached = load_cached_arrays(key)
-    if cached is not None and "edges" in cached:
-        return cached["edges"]
-    edges = as_edge_array(builder())
-    store_cached_arrays(key, edges=edges)
-    return edges
+def prune_cache(trace_schema: int) -> tuple[int, int]:
+    """Delete the cache files the running code can never read.
+
+    Looks at the cache root and ``traces/`` (nothing else under the root is
+    a cache entry): files of another format, replica files of another
+    :data:`CACHE_VERSION`, facts and traces filled under another
+    :func:`code_digest`, and traces of another ``trace_schema``
+    (:data:`repro.gpu.trace.TRACE_SCHEMA`).  Returns ``(files, bytes)``
+    removed.
+    """
+    root = cache_dir()
+    removed = freed = 0
+    for path in (*root.iterdir(), *(root / "traces").glob("*")):
+        if not path.is_file() or path.suffix not in (STORE_SUFFIX, *_FOREIGN_SUFFIXES):
+            continue
+        if path.suffix == STORE_SUFFIX and _readable(path, trace_schema):
+            continue
+        try:
+            size = path.stat().st_size
+            path.unlink()
+        except OSError:
+            continue
+        removed += 1
+        freed += size
+    return removed, freed

@@ -104,8 +104,8 @@ def render_stats(frame: Mapping[str, Any]) -> str:
             f"  worker_restarts={int(restarts)} circuit_opens={int(circuits)}"
         )
 
-    hits = counters.get("tracestore_hits", 0)
-    misses = counters.get("tracestore_misses", 0)
+    hits = counters.get("trace_store_hits", 0)
+    misses = counters.get("trace_store_misses", 0)
     mem_hits = counters.get("trace_cache_hits", 0)
     mem_misses = counters.get("trace_cache_misses", 0)
     if hits or misses or mem_hits or mem_misses:
@@ -115,8 +115,8 @@ def render_stats(frame: Mapping[str, Any]) -> str:
         mem_rate = (mem_hits / mem_total * 100.0) if mem_total else 0.0
         lines.append(
             f"  trace store: disk {int(hits)}/{int(total)} hits ({rate:.0f}%)"
-            f" mapped={_fmt_bytes(counters.get('tracestore_bytes_mapped', 0))}"
-            f" heals={int(counters.get('tracestore_heals', 0))}"
+            f" mapped={_fmt_bytes(counters.get('trace_store_bytes_mapped', 0))}"
+            f" heals={int(counters.get('trace_store_heals', 0))}"
             f" totals={int(counters.get('trace_totals_hits', 0))}"
             f" | memory {int(mem_hits)}/{int(mem_total)} ({mem_rate:.0f}%)"
         )

@@ -11,7 +11,6 @@ fills either store (a changed code digest) misses both.  Only replicas
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.algorithms.base import all_algorithms
@@ -22,7 +21,6 @@ from repro.framework.compare import run_matrix
 from repro.framework.resilience import corrupt_cached_bundle
 from repro.framework.runner import run_one
 from repro.gpu.trace import reset_trace_cache
-from repro.gpu.tracestore import reset_trace_store
 from repro.graph import facts, io
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_edges, load_oriented
@@ -50,7 +48,6 @@ def _fresh_process():
     """Drop every per-process layer in front of the disk stores."""
     facts.reset_facts()
     reset_trace_cache()
-    reset_trace_store()
 
 
 def _bundle(csr):
@@ -71,7 +68,7 @@ def test_bundle_holds_every_fact_of_a_cell(tmp_path):
     assert int(stored["triangles"]) == record.triangles == count_triangles_oriented(csr)
     assert int(stored["lower_bound"]) == lower_bound_comparisons(csr)
     assert int(stored["comparisons_polak"]) == comparisons_performed(csr, "Polak")
-    assert [p.name for p in tmp_path.glob("facts-*")] == [f"{facts.facts_key(csr)}.npz"]
+    assert [p.name for p in tmp_path.glob("facts-*")] == [io.store_path(facts.facts_key(csr)).name]
 
 
 def test_a_fill_keeps_entries_another_process_stored(registry):
@@ -82,8 +79,8 @@ def test_a_fill_keeps_entries_another_process_stored(registry):
     # Another process adds the bound to the bundle after this one read it.
     io.store_cached_arrays(
         facts.facts_key(csr),
-        triangles=np.array(count_triangles_oriented(csr)),
-        lower_bound=np.array(lower_bound_comparisons(csr)),
+        triangles=count_triangles_oriented(csr),
+        lower_bound=lower_bound_comparisons(csr),
     )
     facts.fact(csr, "comparisons_polak", lambda g: comparisons_performed(g, "Polak"), "work_model_s")
     assert sorted(_bundle(csr)) == ["comparisons_polak", "lower_bound", "triangles"]
@@ -114,8 +111,8 @@ def test_racing_fills_store_only_right_values(tmp_path):
 def test_wrong_stored_count_is_quarantined_by_validation(registry):
     csr = load_oriented(DS)
     want = count_triangles_oriented(csr)
-    # A bundle with a valid CRC but a wrong count: the store cannot tell.
-    io.store_cached_arrays(facts.facts_key(csr), triangles=np.array(want + 1))
+    # A bundle with a valid digest but a wrong count: the store cannot tell.
+    io.store_cached_arrays(facts.facts_key(csr), triangles=want + 1)
     assert run_one("Polak", DS, max_blocks_simulated=1).triangles == want + 1
     m = run_matrix(["Polak"], [DS], max_blocks_simulated=1, validate=True)
     (record,) = m.records
@@ -133,7 +130,7 @@ def test_corrupt_drill_drops_and_refills_the_bundle(registry):
     load_oriented.cache_clear()
     csr = load_oriented(DS)
     first = run_one("TRUST", DS, max_blocks_simulated=1)
-    path = io.cache_dir() / f"{facts.facts_key(csr)}.npz"
+    path = io.store_path(facts.facts_key(csr))
     before = path.read_bytes()
     corrupt_cached_bundle(DS)
     assert path.read_bytes() != before
@@ -177,7 +174,7 @@ def test_only_replicas_get_a_bundle(registry, tmp_path):
     # The same topology loaded as a replica is written to disk.
     facts.reset_facts()
     assert work_efficiency(_replica("powerlaw-120"), "Polak") == first
-    assert [p.name for p in tmp_path.glob("facts-*")] == [f"{facts.facts_key(csr)}.npz"]
+    assert [p.name for p in tmp_path.glob("facts-*")] == [io.store_path(facts.facts_key(csr)).name]
 
 
 def test_bisson_full_adjacency_is_memoised_by_content():

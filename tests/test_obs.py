@@ -25,7 +25,6 @@ from repro.framework.resilience import RunJournal
 from repro.gpu.engine import event_oracle
 from repro.gpu.metrics import ProfileMetrics
 from repro.gpu.trace import reset_trace_cache
-from repro.gpu.tracestore import reset_trace_store
 from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
 from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
 from repro.obs.session import profile_run
@@ -252,12 +251,10 @@ def test_trace_store_attributes_under_another_package_root(tmp_path, monkeypatch
     cache = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     reset_trace_cache()
-    reset_trace_store()
     try:
         here = profile_run("Polak", "As-Caida", max_blocks_simulated=4)
     finally:
         reset_trace_cache()
-        reset_trace_store()
     assert here.collector.lines
     assert not any(os.path.isabs(f) for f, _ in here.collector.lines)
     root = tmp_path / "elsewhere"

@@ -199,14 +199,17 @@ def test_writeback_of_a_trace_stored_before_array_logs():
     """A trace file written while the writeback log was a tuple of tuples
     (TriCore's streaming stage over 5 edges) still loads, and its
     ``(n, 3)`` log reproduces the launch on fresh buffers."""
+    import shutil
     from pathlib import Path
 
     from repro.algorithms.tricore import _stream_thread
     from repro.gpu.engine import apply_writeback, record_launch
-    from repro.gpu.tracestore import TraceStore
+    from repro.graph import io
 
-    store = TraceStore(Path(__file__).parent / "data" / "traces")
-    trace = _trace_from_arrays(store.load("tricore-stream-5-edges"))
+    key = "traces/tricore-stream-5-edges"
+    io.store_path(key).parent.mkdir(parents=True)
+    shutil.copyfile(Path(__file__).parent / "data" / f"{key}{io.STORE_SUFFIX}", io.store_path(key))
+    trace = _trace_from_arrays(io.load_cached_arrays(key))
     assert trace.writeback.shape == (10, 3) and trace.writeback.dtype == np.int64
 
     def stream_args():
@@ -237,22 +240,17 @@ def test_memory_budget_evicts_lru():
 
 def test_schema_mismatch_ignored(tmp_path, isolated_cache):
     """A stale on-disk trace with the wrong schema is treated as a miss."""
-    from repro.gpu.tracestore import get_trace_store
+    from repro.graph import io
 
     _launch_sum()
     cache = reset_trace_cache()
     get_metrics().reset()  # fresh process: no counts yet
     # rewrite every stored trace with a forged schema tag (valid digest)
-    store = get_trace_store()
-    files = list(store.root.glob("trace-*.trc"))
+    files = list((io.cache_dir() / "traces").glob(f"trace-*{io.STORE_SUFFIX}"))
     assert files
     for f in files:
-        key = f.name[: -len(".trc")]
-        arrays = dict(store.load(key))
-        meta = arrays["meta"].copy()
-        meta[0] = 999_999
-        arrays["meta"] = meta
-        store.save(key, arrays)
+        key = f"traces/{f.stem}"
+        io.store_cached_arrays(key, **{**io.load_cached_arrays(key), "schema": 999_999})
     _launch_sum()
     assert cache.stats.disk_hits == 0
     assert cache.stats.stores == 1

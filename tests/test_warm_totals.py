@@ -22,7 +22,7 @@ from repro.gpu.device import SIM_RTX_4090, SIM_V100
 from repro.gpu.engine import event_oracle, stage_times
 from repro.gpu.metrics import SECTOR_BYTES
 from repro.gpu.trace import REPLAY_FIELDS, get_trace_cache, reset_trace_cache
-from repro.gpu.tracestore import get_trace_store, reset_trace_store
+from repro.graph import io
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.statsview import render_stats
 from repro.verify.fixtures import fixture_csr
@@ -38,14 +38,12 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in ("REPRO_TRACE_CACHE", "REPRO_DISK_CACHE"):
         monkeypatch.delenv(var, raising=False)
-    reset_trace_store()
     reset_trace_cache()
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     yield registry
     set_metrics(previous)
     reset_trace_cache()
-    reset_trace_store()
 
 
 def _profile(name, device=SIM_V100):
@@ -67,17 +65,21 @@ def _cold_matrix(device=SIM_V100):
     return {name: _profile(name, device) for name in ALGORITHMS}
 
 
+def _stored_traces():
+    """The trace files in the store, with their store keys."""
+    files = sorted((io.cache_dir() / "traces").glob(f"trace-*{io.STORE_SUFFIX}"))
+    return [(path, f"traces/{path.stem}") for path in files]
+
+
 def _rewrite_stored(edit):
-    """Apply ``edit`` to every stored bundle and save it back (valid digest)."""
-    store = get_trace_store()
-    files = sorted(store.root.glob("trace-*.trc"))
-    assert files
-    for path in files:
-        key = path.name[: -len(".trc")]
-        arrays = dict(store.load(key))
-        edit(arrays)
-        store.save(key, arrays)
-    return files
+    """Apply ``edit`` to every stored trace and save it back (valid digest)."""
+    stored = _stored_traces()
+    assert stored
+    for _, key in stored:
+        entries = dict(io.load_cached_arrays(key))
+        edit(entries)
+        io.store_cached_arrays(key, **entries)
+    return [path for path, _ in stored]
 
 
 _WARM_SCRIPT = """
@@ -133,9 +135,8 @@ def test_fresh_process_warm_hit_runs_no_reduction():
 
 def test_header_carries_totals_for_the_recorded_geometry():
     _profile("Polak")
-    store = get_trace_store()
-    for path in store.root.glob("trace-*.trc"):
-        (entry,) = store.load(path.name[: -len(".trc")])["totals"]
+    for _, key in _stored_traces():
+        (entry,) = io.load_cached_arrays(key)["totals"]
         assert set(entry) == {"l1_cap", "l2_cap", *REPLAY_FIELDS}
         assert (entry["l1_cap"], entry["l2_cap"]) == (
             SIM_V100.l1_bytes // SECTOR_BYTES, SIM_V100.l2_bytes // SECTOR_BYTES,
@@ -147,7 +148,7 @@ def test_stats_trace_store_line_counts_totals_hits(isolated):
     reset_trace_cache()
     _profile("Polak")
     hits = int(isolated.get("trace_totals_hits"))
-    assert hits == len(list(get_trace_store().root.glob("trace-*.trc")))
+    assert hits == len(_stored_traces())
     (line,) = [
         ln for ln in render_stats(isolated.snapshot()).splitlines() if "trace store:" in ln
     ]

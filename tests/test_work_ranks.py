@@ -110,7 +110,7 @@ def _computed(csr, algorithm):
 
 
 def _stored_files(tmp_path):
-    return sorted(p.name for p in tmp_path.glob("facts-*.npz"))
+    return sorted(p.name for p in tmp_path.glob(f"facts-*{io.STORE_SUFFIX}"))
 
 
 def _replica(fixture):
@@ -123,7 +123,7 @@ def test_store_computes_once_per_graph_and_model(registry, tmp_path):
     csr = _replica("powerlaw-120")
     first = work_efficiency(csr, "Green")
     assert first == _computed(csr, "Green")
-    assert _stored_files(tmp_path) == [f"{facts_key(csr)}.npz"]
+    assert _stored_files(tmp_path) == [f"{facts_key(csr)}{io.STORE_SUFFIX}"]
     assert work_efficiency(csr, "Green") == first
     # The first call filled the count and the bound; the second read both.
     assert registry.get("facts_store_misses") == 2
@@ -151,7 +151,7 @@ def test_store_heals_a_bad_entry(registry, tmp_path, damage):
     csr = _replica("star-cliques")
     expected = _computed(csr, "TRUST")
     work_efficiency(csr, "TRUST")
-    (path,) = tmp_path.glob("facts-*.npz")
+    (path,) = tmp_path.glob(f"facts-*{io.STORE_SUFFIX}")
     if damage == "garbage":
         path.write_bytes(b"not a bundle")
     else:
