@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..gpu.costmodel import CostModel, estimate_time
 from ..gpu.device import TESLA_V100, DeviceSpec
 from ..gpu.memory import DeviceArray, GlobalMemory

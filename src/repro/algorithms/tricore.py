@@ -21,8 +21,6 @@ high-degree ones (Section IV-A).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.device import DeviceSpec
 from ..gpu.kernel import launch_kernel
 from ..gpu.memory import DeviceArray, GlobalMemory

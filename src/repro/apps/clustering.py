@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
 from ..graph.edgelist import as_edge_array, clean_edges
 from ..graph.orientation import orient_by_id
 from ..intersect.binsearch import batch_membership

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
 from ..graph.edgelist import as_edge_array, clean_edges, deduplicate_edges, remove_self_loops
 from ..graph.orientation import orient_by_id
 from ..intersect.binsearch import batch_edge_intersection_counts

@@ -27,10 +27,8 @@ import os
 import sys
 import time
 
-from ..algorithms.base import algorithm_names, get_algorithm
 from ..gpu.device import get_device
 from ..gpu.trace import TRACE_SCHEMA
-from ..graph.datasets import dataset_names, load_oriented
 from ..graph.io import prune_cache
 from ..obs.attribution import LINE_FIELDS
 from ..obs.flightrec import install_flight_recorder, maybe_dump

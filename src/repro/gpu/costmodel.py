@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import DeviceSpec
-from .metrics import SECTOR_BYTES, ProfileMetrics
+from .metrics import ProfileMetrics
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL", "estimate_time"]
 

@@ -47,7 +47,6 @@ from time import perf_counter
 import numpy as np
 
 from ..obs.attribution import (
-    LINE_FIELDS,
     LocationTable,
     active_collector,
     capture_active,

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from .metrics import get_metrics
-from .tracer import LEVELS, _level_no, get_tracer
+from .tracer import _level_no, get_tracer
 
 __all__ = [
     "FLIGHTREC_SCHEMA",

@@ -4,26 +4,28 @@ The paper's conclusions rest on three nvprof-analog counters the simulator
 computes (Figures 11-13, 15); count-equality tests alone cannot detect a
 cost-model or warp-executor refactor that silently shifts those counters
 while every triangle count stays right.  This package is the correctness
-layer that closes that gap:
+layer that closes that gap, with one snapshot path and one fuzz loop:
 
-* :mod:`repro.verify.goldens` — checked-in metric baselines
-  (``tests/goldens/*.json``) for every registered algorithm on a fixed
-  fixture set and both simulated device presets, with tolerance-aware
-  comparison and an ``--update`` flow;
-* :mod:`repro.verify.differential` — a seeded differential fuzzer running
-  every algorithm plus the CPU references on generated graphs, with
-  delta-debugging shrinking (:mod:`repro.verify.shrink`) and repro
-  artifacts under ``.cache/failures/<seed>/``;
+* :mod:`repro.verify.goldens` — checked-in baselines of two kinds with one
+  record/write/load/compare/check/update path: the metric matrix
+  (``tests/goldens/<device>.json``: every registered algorithm on a fixed
+  fixture set) and the scale-out matrix (``tests/goldens/cluster_*.json``:
+  partition counts, exchange bytes and parallel efficiency of the
+  multi-GPU cluster layer), both for both simulated device presets, with
+  one tolerance-aware leaf comparator and an ``--update`` flow;
+* :mod:`repro.verify.differential` — the seeded fuzz loop: generate a
+  graph, ask an oracle for findings, delta-debug a failing graph
+  (:mod:`repro.verify.shrink`) and write a repro artifact under
+  ``.cache/<oracle dir>/<seed>/``; its implementation oracle runs every
+  algorithm plus the CPU references;
+* :mod:`repro.verify.engines` — event vs vectorised simulator-engine
+  parity: full metric diffs on one graph, the engine oracle the fuzz
+  loop runs them under, and a fixture x algorithm snapshot diff between
+  the engines;
 * :mod:`repro.verify.invariants` — metamorphic count invariants
   (relabelling, disjoint union, padding, duplicate idempotence) and
   simulator metric invariants (efficiency range, transactions/request
-  floor, sampling consistency, parallel determinism);
-* :mod:`repro.verify.engines` — event vs vectorised simulator-engine
-  parity: full metric diffs on fuzzed graphs with shrinking, plus a
-  fixture x algorithm snapshot diff between the engines;
-* :mod:`repro.verify.cluster_goldens` — scale-out baselines
-  (``tests/goldens/cluster_*.json``) pinning partition counts, exchange
-  bytes, and parallel efficiency for the multi-GPU cluster layer.
+  floor, sampling consistency, parallel determinism).
 
 Drive it from a shell::
 
@@ -35,30 +37,26 @@ Drive it from a shell::
     python -m repro.verify invariants
 """
 
-from .cluster_goldens import (
-    check_cluster_device,
-    cluster_golden_path,
-    compare_cluster_snapshots,
-    load_cluster_goldens,
-    record_cluster_device,
-    update_cluster_goldens,
-    write_cluster_goldens,
+from .differential import (
+    IMPLEMENTATIONS,
+    FuzzReport,
+    Oracle,
+    count_all,
+    disagreements,
+    fuzz_one,
+    run_fuzz,
+    write_artifact,
 )
-from .differential import FuzzReport, count_all, disagreements, fuzz_one, run_fuzz
-from .engines import (
-    EngineReport,
-    engine_fuzz_one,
-    engine_mismatches,
-    fixture_parity,
-    run_engine_fuzz,
-)
+from .engines import ENGINES, engine_mismatches, engine_oracle, fixture_parity
 from .fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, fixture_csr, fixture_edges, fixture_names
 from .goldens import (
+    KINDS,
     GoldenDiff,
     check_device,
     compare_snapshots,
     golden_path,
     load_goldens,
+    record_cluster_device,
     record_device,
     update_goldens,
     write_goldens,
@@ -67,36 +65,34 @@ from .invariants import InvariantResult, run_invariants
 from .shrink import ddmin
 
 __all__ = [
-    "EngineReport",
+    "ENGINES",
     "FuzzReport",
     "GOLDEN_BLOCKS",
     "GOLDEN_DEVICES",
     "GoldenDiff",
+    "IMPLEMENTATIONS",
     "InvariantResult",
-    "check_cluster_device",
+    "KINDS",
+    "Oracle",
     "check_device",
-    "cluster_golden_path",
-    "compare_cluster_snapshots",
     "compare_snapshots",
     "count_all",
     "ddmin",
     "disagreements",
-    "engine_fuzz_one",
     "engine_mismatches",
-    "fixture_parity",
+    "engine_oracle",
     "fixture_csr",
     "fixture_edges",
     "fixture_names",
+    "fixture_parity",
     "fuzz_one",
     "golden_path",
-    "load_cluster_goldens",
     "load_goldens",
     "record_cluster_device",
     "record_device",
-    "run_engine_fuzz",
     "run_fuzz",
     "run_invariants",
-    "update_cluster_goldens",
     "update_goldens",
-    "write_cluster_goldens",
+    "write_artifact",
+    "write_goldens",
 ]

@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.verify {golden,fuzz,invariants}``."""
+"""Entry point: ``python -m repro.verify {golden,cluster,fuzz,engines,invariants}``."""
 
 import sys
 

@@ -6,12 +6,15 @@
     python -m repro.verify golden --update         # regenerate the snapshots
     python -m repro.verify cluster --check         # scale-out baselines
     python -m repro.verify fuzz --seeds 25 --max-edges 400
-    python -m repro.verify engines --seeds 10          # event vs vectorized
+    python -m repro.verify engines --seeds 10     # event vs vectorized
     python -m repro.verify invariants --seeds 8
 
-Exit status is 0 only when every check passes; ``golden --check`` names
-each drifted (fixture, algorithm, metric) triple, and ``fuzz`` prints the
-artifact directory of every disagreeing seed.
+Exit status is 0 only when every check passes.  ``golden`` and
+``cluster`` share one handler over the two snapshot kinds of
+:mod:`repro.verify.goldens`; ``--check`` names each drifted key as
+``fixture / algorithm / ...``.  ``fuzz`` and ``engines`` share one handler
+over the fuzz loop of :mod:`repro.verify.differential`, one oracle each,
+and print the artifact directory of every disagreeing seed.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cluster_goldens import check_cluster_device, cluster_golden_path, update_cluster_goldens
-from .differential import run_fuzz
-from .engines import ENGINE_FUZZ_EDGE_LIMIT, fixture_parity, run_engine_fuzz
+from .differential import IMPLEMENTATIONS, Oracle, run_fuzz
+from .engines import ENGINES, engine_oracle, fixture_parity
 from .fixtures import GOLDEN_DEVICES
 from .goldens import DEFAULT_ATOL, DEFAULT_RTOL, check_device, golden_path, update_goldens
 from .invariants import run_invariants
@@ -29,14 +31,8 @@ from .invariants import run_invariants
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro.verify",
-        description="Golden baselines, differential fuzzing, and invariants.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("golden", help="check or regenerate metric baselines")
+def _golden_parser(sub, kind: str, help: str) -> None:
+    g = sub.add_parser(kind, help=help)
     mode = g.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help="diff against snapshots (default)")
     mode.add_argument("--update", action="store_true", help="rewrite the snapshots")
@@ -49,49 +45,38 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance")
     g.add_argument("--atol", type=float, default=DEFAULT_ATOL, help="absolute tolerance")
 
-    c = sub.add_parser("cluster", help="check or regenerate scale-out baselines")
-    cmode = c.add_mutually_exclusive_group()
-    cmode.add_argument("--check", action="store_true", help="diff against snapshots (default)")
-    cmode.add_argument("--update", action="store_true", help="rewrite the snapshots")
-    c.add_argument(
-        "--devices",
-        default=",".join(GOLDEN_DEVICES),
-        help="comma-separated device presets (default: both simulated GPUs)",
-    )
-    c.add_argument("--root", default=None, help="snapshot directory (default: tests/goldens)")
-    c.add_argument("--rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance")
-    c.add_argument("--atol", type=float, default=DEFAULT_ATOL, help="absolute tolerance")
 
-    f = sub.add_parser("fuzz", help="differential fuzzing with shrinking")
-    f.add_argument("--seeds", type=int, default=25, help="number of fuzz seeds (default 25)")
+def _fuzz_parser(sub, oracle: Oracle, help: str, seeds: int):
+    f = sub.add_parser(oracle.name, help=help)
+    f.add_argument(
+        "--seeds", type=int, default=seeds, help=f"number of fuzz seeds (default {seeds})"
+    )
     f.add_argument(
         "--start-seed", type=int, default=0,
         help="first seed (CI lanes window the seed space with this)",
     )
-    f.add_argument("--max-edges", type=int, default=400, help="raw edge budget per case")
+    f.add_argument(
+        "--max-edges", type=int, default=oracle.max_edges, help="raw edge budget per case"
+    )
     f.add_argument("--no-shrink", action="store_true", help="skip delta-debugging failures")
     f.add_argument(
         "--artifact-root",
         default=None,
-        help="failure bundle directory (default: .cache/failures)",
+        help=f"failure bundle directory (default: .cache/{oracle.artifact_dir})",
     )
+    return f
 
-    e = sub.add_parser("engines", help="event vs vectorized engine parity")
-    e.add_argument("--seeds", type=int, default=10, help="number of fuzz seeds (default 10)")
-    e.add_argument(
-        "--start-seed", type=int, default=0,
-        help="first seed (CI lanes window the seed space with this)",
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="repro.verify",
+        description="Golden baselines, differential fuzzing, and invariants.",
     )
-    e.add_argument(
-        "--max-edges", type=int, default=ENGINE_FUZZ_EDGE_LIMIT,
-        help="raw edge budget per case (both engines run full-grid)",
-    )
-    e.add_argument("--no-shrink", action="store_true", help="skip delta-debugging failures")
-    e.add_argument(
-        "--artifact-root",
-        default=None,
-        help="mismatch bundle directory (default: .cache/engine-failures)",
-    )
+    sub = p.add_subparsers(dest="command", required=True)
+    _golden_parser(sub, "golden", "check or regenerate metric baselines")
+    _golden_parser(sub, "cluster", "check or regenerate scale-out baselines")
+    _fuzz_parser(sub, IMPLEMENTATIONS, "differential fuzzing with shrinking", 25)
+    e = _fuzz_parser(sub, ENGINES, "event vs vectorized engine parity", 10)
     e.add_argument(
         "--skip-fixtures",
         action="store_true",
@@ -110,43 +95,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_golden(args) -> int:
+    """``golden`` and ``cluster``: the snapshot kind is the command name."""
+    kind = args.command
     devices = [d.strip() for d in args.devices.split(",") if d.strip()]
     if args.update:
-        for path in update_goldens(tuple(devices), root=args.root):
+        for path in update_goldens(tuple(devices), kind=kind, root=args.root):
             print(f"wrote {path}")
         return 0
     status = 0
     for device in devices:
-        path = golden_path(device, args.root)
+        path = golden_path(device, args.root, kind=kind)
         if not path.exists():
-            print(f"{device}: MISSING snapshot {path} (run `golden --update`)")
+            print(f"{device}: MISSING snapshot {path} (run `{kind} --update`)")
             status = 1
             continue
-        diffs = check_device(device, root=args.root, rtol=args.rtol, atol=args.atol)
-        if diffs:
-            status = 1
-            print(f"{device}: {len(diffs)} metric(s) drifted from {path}:")
-            for diff in diffs:
-                print(f"  {diff}")
-        else:
-            print(f"{device}: ok ({path})")
-    return status
-
-
-def _cmd_cluster(args) -> int:
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    if args.update:
-        for path in update_cluster_goldens(tuple(devices), root=args.root):
-            print(f"wrote {path}")
-        return 0
-    status = 0
-    for device in devices:
-        path = cluster_golden_path(device, args.root)
-        if not path.exists():
-            print(f"{device}: MISSING snapshot {path} (run `cluster --update`)")
-            status = 1
-            continue
-        diffs = check_cluster_device(device, root=args.root, rtol=args.rtol, atol=args.atol)
+        diffs = check_device(
+            device, kind=kind, root=args.root, rtol=args.rtol, atol=args.atol
+        )
         if diffs:
             status = 1
             print(f"{device}: {len(diffs)} value(s) drifted from {path}:")
@@ -158,6 +123,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    """``fuzz`` and ``engines``: one fuzz loop, the oracle named by the command."""
+    engines = args.command == "engines"
+    oracle = engine_oracle(rtol=args.rtol) if engines else IMPLEMENTATIONS
     failures = 0
 
     def progress(report) -> None:
@@ -173,52 +141,21 @@ def _cmd_fuzz(args) -> int:
             size = shrunk.shape[0] if shrunk is not None else report.edges.shape[0]
             print(
                 f"seed {report.seed:>4} [{report.strategy}] DISAGREEMENT "
-                f"{sorted(report.disagreeing)} shrunk to {size} edges "
+                f"{sorted(report.findings)} shrunk to {size} edges "
                 f"-> {report.artifact_dir}"
             )
 
     run_fuzz(
         range(args.start_seed, args.start_seed + args.seeds),
+        oracle=oracle,
         max_edges=args.max_edges,
         shrink=not args.no_shrink,
         artifact_root=args.artifact_root,
         progress=progress,
     )
     print(f"{args.seeds} seeds, {failures} disagreement(s)")
-    return 1 if failures else 0
-
-
-def _cmd_engines(args) -> int:
-    failures = 0
-
-    def progress(report) -> None:
-        nonlocal failures
-        if report.ok:
-            print(
-                f"seed {report.seed:>4} [{report.strategy}] "
-                f"{report.edges.shape[0]} edges: parity ok"
-            )
-        else:
-            failures += 1
-            shrunk = report.shrunk_edges
-            size = shrunk.shape[0] if shrunk is not None else report.edges.shape[0]
-            print(
-                f"seed {report.seed:>4} [{report.strategy}] MISMATCH "
-                f"{sorted(report.mismatches)} shrunk to {size} edges "
-                f"-> {report.artifact_dir}"
-            )
-
-    run_engine_fuzz(
-        range(args.start_seed, args.start_seed + args.seeds),
-        max_edges=args.max_edges,
-        shrink=not args.no_shrink,
-        artifact_root=args.artifact_root,
-        rtol=args.rtol,
-        progress=progress,
-    )
-    print(f"{args.seeds} seeds, {failures} mismatch(es)")
     status = 1 if failures else 0
-    if not args.skip_fixtures:
+    if engines and not args.skip_fixtures:
         for device in GOLDEN_DEVICES:
             diffs = fixture_parity(device, rtol=args.rtol)
             if diffs:
@@ -242,17 +179,11 @@ def _cmd_invariants(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "golden":
+    if args.command in ("golden", "cluster"):
         return _cmd_golden(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "fuzz":
+    if args.command in ("fuzz", "engines"):
         return _cmd_fuzz(args)
-    if args.command == "engines":
-        return _cmd_engines(args)
-    if args.command == "invariants":
-        return _cmd_invariants(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return _cmd_invariants(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,18 @@
-"""Differential fuzzing: run every implementation, hunt disagreements.
+"""Differential fuzzing: one fuzz loop, and the implementation oracle.
 
-For one raw edge list the checker computes the triangle count through
-every independent path in the system:
+The loop (:func:`fuzz_one`, :func:`run_fuzz`) generates a seeded graph
+(:mod:`repro.verify.strategies`), asks an :class:`Oracle` for findings,
+delta-debugs the raw edge list of a failing seed down to a 1-minimal graph
+that still yields some finding among the original suspects
+(:mod:`repro.verify.shrink`), and writes a self-contained repro artifact —
+edge lists, a JSON report, and a ready-to-paste pytest regression — under
+``.cache/<oracle artifact dir>/<seed>/``.  Two oracles drive it:
+:data:`IMPLEMENTATIONS` here (``python -m repro.verify fuzz``) and the
+engine-parity oracle of :mod:`repro.verify.engines`
+(``python -m repro.verify engines``).
+
+For one raw edge list the implementation oracle computes the triangle
+count through every independent path in the system:
 
 * ``matrix`` — ``trace(A^3)/6`` via scipy.sparse (the baseline);
 * ``node-iterator`` — the textbook O(sum d^2) reference;
@@ -14,18 +25,14 @@ every independent path in the system:
 * ``<Algorithm>/device`` — the SIMT simulator's own accumulator from a
   full-grid (unsampled) launch (small graphs only).
 
-Any key that differs from the baseline is a *disagreement*; the fuzzer
-then delta-debugs the raw edge list down to a 1-minimal failing graph
-(:mod:`repro.verify.shrink`) and writes a self-contained repro artifact —
-edge lists, a JSON report, and a ready-to-paste pytest regression — under
-``.cache/failures/<seed>/``.
+Any key that differs from the baseline is a *disagreement*, one finding.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +48,15 @@ from ..graph.edgelist import as_edge_array, clean_edges
 from ..graph.orientation import oriented_csr
 from ..gpu.device import SIM_V100
 from .shrink import ddmin
-from .strategies import FuzzCase, generate_case
+from .strategies import generate_case
 
 __all__ = [
     "BASELINE",
+    "IMPLEMENTATIONS",
     "FuzzReport",
+    "Oracle",
     "count_all",
     "disagreements",
-    "default_artifact_root",
     "fuzz_one",
     "run_fuzz",
     "write_artifact",
@@ -119,142 +127,158 @@ def disagreements(results: dict[str, int]) -> dict[str, int]:
     return {k: v for k, v in results.items() if v != baseline}
 
 
-def default_artifact_root() -> Path:
-    """``.cache/failures`` (honours ``REPRO_CACHE_DIR``)."""
-    return io.cache_dir() / "failures"
+@dataclass(frozen=True)
+class Oracle:
+    """What a fuzz run checks, and how its artifacts name and replay it."""
+
+    #: The ``python -m repro.verify`` command; names the artifact and test.
+    name: str
+    #: ``check(edges, suspects)``: the findings on one raw edge list, keyed
+    #: by what disagrees (empty = all agree).  ``suspects``, when given,
+    #: holds earlier finding keys and may limit the work to them.
+    check: Callable[[np.ndarray, set[str] | None], dict]
+    #: Default bundle directory under the cache root.
+    artifact_dir: str
+    #: Default raw edge budget per generated case.
+    max_edges: int
+    #: Import line and falsy-once-fixed expression over ``EDGES`` that the
+    #: generated ``test_regression.py`` needs.
+    regression_import: str
+    regression_call: str
+
+
+#: Every implementation path against the ``matrix`` baseline.
+IMPLEMENTATIONS = Oracle(
+    name="fuzz",
+    check=lambda edges, suspects=None: disagreements(count_all(edges, restrict=suspects)),
+    artifact_dir="failures",
+    max_edges=400,
+    regression_import="from repro.verify.differential import count_all, disagreements",
+    regression_call="disagreements(count_all(EDGES))",
+)
 
 
 @dataclass(frozen=True)
 class FuzzReport:
-    """Outcome of one fuzzed seed."""
+    """Outcome of one fuzzed seed under one oracle."""
 
     seed: int
     strategy: str
     edges: np.ndarray = field(repr=False)
-    results: dict[str, int]
-    disagreeing: dict[str, int]
+    findings: dict
+    oracle: Oracle = field(default=IMPLEMENTATIONS, repr=False)
     shrunk_edges: np.ndarray | None = field(default=None, repr=False)
-    shrunk_results: dict[str, int] | None = None
+    shrunk_findings: dict | None = None
     artifact_dir: Path | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.disagreeing
+        return not self.findings
 
 
-def _shrink_case(case: FuzzCase, suspects: set[str], **limits) -> np.ndarray:
-    """Delta-debug the raw edge list, preserving *some* disagreement among
-    the originally-disagreeing implementations."""
-
-    def predicate(candidate: np.ndarray) -> bool:
-        try:
-            results = count_all(candidate, restrict=suspects, **limits)
-        except Exception:
-            # A candidate that crashes an implementation is also a failure
-            # worth keeping — the shrinker may converge on the crash.
-            return True
-        return bool(disagreements(results))
-
-    return ddmin(case.edges, predicate)
-
-
-def _regression_source(seed: int, strategy: str, edges: np.ndarray) -> str:
+def _regression_source(report: FuzzReport, edges: np.ndarray) -> str:
+    oracle = report.oracle
     rows = ", ".join(f"[{int(u)}, {int(v)}]" for u, v in edges)
     return (
-        '"""Auto-generated regression: differential disagreement found by\n'
-        f"`python -m repro.verify fuzz` (seed={seed}, strategy={strategy!r}),\n"
+        '"""Auto-generated regression: found by\n'
+        f"`python -m repro.verify {oracle.name}` "
+        f"(seed={report.seed}, strategy={report.strategy!r}),\n"
         "shrunk to a 1-minimal edge list.  Paste into tests/ to pin the fix.\n"
         '"""\n'
         "\n"
         "import numpy as np\n"
         "\n"
-        "from repro.verify.differential import count_all, disagreements\n"
+        f"{oracle.regression_import}\n"
         "\n"
         f"EDGES = np.array([{rows}], dtype=np.int64).reshape(-1, 2)\n"
         "\n"
         "\n"
-        f"def test_fuzz_seed_{seed}_regression():\n"
-        "    assert not disagreements(count_all(EDGES))\n"
+        f"def test_{oracle.name}_seed_{report.seed}_regression():\n"
+        f"    assert not {oracle.regression_call}\n"
     )
 
 
 def write_artifact(report: FuzzReport, root: str | Path | None = None) -> Path:
     """Persist a failing seed's repro bundle under ``<root>/<seed>/``.
 
-    Contents: ``edges.txt`` (the raw generated input), ``shrunk.txt`` (the
-    minimal failing graph), ``report.json`` (counts and disagreements for
-    both), and ``test_regression.py`` (ready-to-paste pytest).
+    ``root`` defaults to the oracle's directory under the cache root
+    (``.cache/failures``, ``.cache/engine-failures``; honours
+    ``REPRO_CACHE_DIR``).  Contents: ``edges.txt`` (the raw generated
+    input), ``shrunk.txt`` (the minimal failing graph), ``report.json``
+    (findings for both), and ``test_regression.py`` (ready-to-paste pytest).
     """
-    root = Path(root) if root is not None else default_artifact_root()
+    oracle = report.oracle
+    root = Path(root) if root is not None else io.cache_dir() / oracle.artifact_dir
     out = root / str(report.seed)
     out.mkdir(parents=True, exist_ok=True)
     io.write_text_edges(
         out / "edges.txt", report.edges,
-        comment=f"fuzz seed={report.seed} strategy={report.strategy}",
+        comment=f"{oracle.name} seed={report.seed} strategy={report.strategy}",
     )
     shrunk = report.shrunk_edges if report.shrunk_edges is not None else report.edges
     io.write_text_edges(out / "shrunk.txt", shrunk, comment="1-minimal failing edge list")
     (out / "report.json").write_text(
         json.dumps(
             {
+                "oracle": oracle.name,
                 "seed": report.seed,
                 "strategy": report.strategy,
-                "edges": report.edges.shape[0],
+                "edges": int(report.edges.shape[0]),
                 "shrunk_edges": int(shrunk.shape[0]),
-                "results": report.results,
-                "disagreements": report.disagreeing,
-                "shrunk_results": report.shrunk_results,
+                "findings": report.findings,
+                "shrunk_findings": report.shrunk_findings,
             },
             indent=2,
             sort_keys=True,
         )
         + "\n"
     )
-    (out / "test_regression.py").write_text(
-        _regression_source(report.seed, report.strategy, shrunk)
-    )
+    (out / "test_regression.py").write_text(_regression_source(report, shrunk))
     return out
 
 
 def fuzz_one(
     seed: int,
     *,
-    max_edges: int = 400,
+    oracle: Oracle = IMPLEMENTATIONS,
+    max_edges: int | None = None,
     shrink: bool = True,
     artifact_root: str | Path | None = None,
-    structural_limit: int = STRUCTURAL_EDGE_LIMIT,
-    device_limit: int = DEVICE_EDGE_LIMIT,
 ) -> FuzzReport:
-    """Fuzz one seed end to end: generate, compare, shrink, persist."""
-    case = generate_case(seed, max_edges)
-    limits = dict(structural_limit=structural_limit, device_limit=device_limit)
-    results = count_all(case.edges, **limits)
-    bad = disagreements(results)
-    if not bad:
-        return FuzzReport(seed, case.strategy, case.edges, results, bad)
-    shrunk = _shrink_case(case, set(bad), **limits) if shrink else None
-    shrunk_results = (
-        count_all(shrunk, restrict=set(bad), **limits) if shrunk is not None else None
-    )
-    report = FuzzReport(
-        seed, case.strategy, case.edges, results, bad,
-        shrunk_edges=shrunk, shrunk_results=shrunk_results,
-    )
-    artifact = write_artifact(report, artifact_root)
-    return FuzzReport(
-        seed, case.strategy, case.edges, results, bad,
-        shrunk_edges=shrunk, shrunk_results=shrunk_results, artifact_dir=artifact,
-    )
+    """Fuzz one seed end to end: generate, check, shrink, persist.
+
+    ``max_edges`` defaults to the oracle's edge budget.
+    """
+    case = generate_case(seed, oracle.max_edges if max_edges is None else max_edges)
+    findings = oracle.check(case.edges, None)
+    report = FuzzReport(seed, case.strategy, case.edges, findings, oracle)
+    if report.ok:
+        return report
+    if shrink:
+        suspects = set(findings)
+
+        def predicate(candidate: np.ndarray) -> bool:
+            try:
+                return bool(oracle.check(candidate, suspects))
+            except Exception:
+                # A candidate that crashes an implementation is also a
+                # failure worth keeping; the shrinker may converge on it.
+                return True
+
+        shrunk = ddmin(case.edges, predicate)
+        report = replace(
+            report, shrunk_edges=shrunk, shrunk_findings=oracle.check(shrunk, suspects)
+        )
+    return replace(report, artifact_dir=write_artifact(report, artifact_root))
 
 
 def run_fuzz(
     seeds: int | Sequence[int],
     *,
-    max_edges: int = 400,
+    oracle: Oracle = IMPLEMENTATIONS,
+    max_edges: int | None = None,
     shrink: bool = True,
     artifact_root: str | Path | None = None,
-    structural_limit: int = STRUCTURAL_EDGE_LIMIT,
-    device_limit: int = DEVICE_EDGE_LIMIT,
     progress=None,
 ) -> list[FuzzReport]:
     """Fuzz a batch of seeds (an int means ``range(seeds)``).
@@ -266,12 +290,8 @@ def run_fuzz(
     reports: list[FuzzReport] = []
     for seed in seed_list:
         report = fuzz_one(
-            seed,
-            max_edges=max_edges,
-            shrink=shrink,
+            seed, oracle=oracle, max_edges=max_edges, shrink=shrink,
             artifact_root=artifact_root,
-            structural_limit=structural_limit,
-            device_limit=device_limit,
         )
         reports.append(report)
         if progress is not None:

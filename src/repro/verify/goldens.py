@@ -1,18 +1,29 @@
-"""Golden metric baselines: record, serialise, and compare.
+"""Golden baselines: record, serialise, and compare both snapshot kinds.
 
-A golden snapshot pins, for one device preset, every registered algorithm's
-triangle count and profile metrics (``global_load_requests``,
-``warp_execution_efficiency``, ``gld_transactions_per_request``, issue
-``cycles``, and costed ``sim_time_s``) on the fixed fixture set of
-:mod:`repro.verify.fixtures`.  The snapshots live in ``tests/goldens/`` as
-diff-stable JSON (sorted keys, floats rounded to 10 significant digits)
-so a refactor that shifts any counter shows up as a one-line diff naming
-the fixture, algorithm, and metric.
+Two snapshot kinds share one path, write, schema-checked load, compare,
+check and update flow; only their recorders differ:
 
-``sim_time_s`` is deliberately part of the snapshot: it is the only
-recorded quantity that passes through :class:`repro.gpu.costmodel.CostModel`,
-so perturbing a cost-model constant fails the golden check even when every
-raw counter is untouched.
+* ``golden`` (:func:`record_device`, ``tests/goldens/<device>.json``)
+  pins, for one device preset, every registered algorithm's triangle count
+  and profile metrics (``global_load_requests``,
+  ``warp_execution_efficiency``, ``gld_transactions_per_request``, issue
+  ``cycles``, and costed ``sim_time_s``) on the fixed fixture set of
+  :mod:`repro.verify.fixtures`.  ``sim_time_s`` is deliberately part of
+  the snapshot: it is the only recorded quantity that passes through
+  :class:`repro.gpu.costmodel.CostModel`, so perturbing a cost-model
+  constant fails the check even when every raw counter is untouched.
+* ``cluster`` (:func:`record_cluster_device`,
+  ``tests/goldens/cluster_<device>.json``) pins the scale-out behaviour of
+  two representative algorithms (simple Polak and TRUST, the partitioning
+  scheme's namesake) on three fixtures over 1/2/4 simulated devices and
+  both partitioners: aggregate count, cluster makespan, parallel
+  efficiency (vs the 1-device cell), exchange bytes and the per-device
+  breakdown.  The event oracle (:func:`repro.gpu.engine.event_oracle`)
+  must reproduce it byte for byte (the scale-out golden tests check it).
+
+Snapshots are diff-stable JSON (sorted keys, floats rounded to 10
+significant digits, trailing newline), so a refactor that shifts any
+value shows up as a one-line diff naming the fixture, algorithm and key.
 """
 
 from __future__ import annotations
@@ -20,9 +31,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 from ..algorithms.base import all_algorithms
+from ..framework.cluster import run_cluster
 from ..gpu.costmodel import CostModel
 from ..gpu.device import get_device
 from .fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, GOLDEN_ORDERING, fixture_csr, fixture_names
@@ -30,9 +43,16 @@ from .fixtures import GOLDEN_BLOCKS, GOLDEN_DEVICES, GOLDEN_ORDERING, fixture_cs
 __all__ = [
     "GOLDEN_SCHEMA",
     "GOLDEN_METRICS",
+    "CLUSTER_GOLDEN_ALGORITHMS",
+    "CLUSTER_GOLDEN_FIXTURES",
+    "CLUSTER_GOLDEN_DEVICE_COUNTS",
+    "CLUSTER_GOLDEN_PARTITIONERS",
+    "CLUSTER_GOLDEN_SEED",
+    "KINDS",
     "GoldenDiff",
     "golden_path",
     "record_device",
+    "record_cluster_device",
     "write_goldens",
     "load_goldens",
     "compare_snapshots",
@@ -40,10 +60,10 @@ __all__ = [
     "update_goldens",
 ]
 
-#: Bump when the snapshot layout changes; mismatched schemas fail loudly.
+#: Bump when a snapshot layout changes; mismatched schemas fail loudly.
 GOLDEN_SCHEMA = 1
 
-#: Recorded per (fixture, algorithm); "count" is compared exactly on top.
+#: Recorded per (fixture, algorithm) next to the exact "count".
 GOLDEN_METRICS = (
     "global_load_requests",
     "warp_execution_efficiency",
@@ -52,6 +72,18 @@ GOLDEN_METRICS = (
     "sim_time_s",
 )
 
+#: Representative endpoints of the taxonomy: the simplest edge-parallel
+#: kernel and the hashed multi-GPU design the partitioner mirrors.
+CLUSTER_GOLDEN_ALGORITHMS = ("Polak", "TRUST")
+
+#: Three structural regimes: dense (intersection-heavy), heavy-tail
+#: (imbalance), and the adversarial hash-collider composite.
+CLUSTER_GOLDEN_FIXTURES = ("clique-12", "powerlaw-120", "star-cliques")
+
+CLUSTER_GOLDEN_DEVICE_COUNTS = (1, 2, 4)
+CLUSTER_GOLDEN_PARTITIONERS = ("edge1d", "hash2d")
+CLUSTER_GOLDEN_SEED = 0
+
 #: Default comparison tolerances.  The simulator is deterministic, so the
 #: only slack needed is the 10-significant-digit rounding of the stored
 #: floats; 1e-6 relative keeps the gate tight enough to catch a one-unit
@@ -59,12 +91,8 @@ GOLDEN_METRICS = (
 DEFAULT_RTOL = 1e-6
 DEFAULT_ATOL = 1e-9
 
-
-def golden_path(device_name: str, root: str | Path | None = None) -> Path:
-    """Snapshot file for one device preset (``tests/goldens/<device>.json``)."""
-    if root is None:
-        root = Path(__file__).resolve().parents[3] / "tests" / "goldens"
-    return Path(root) / f"{device_name}.json"
+#: Keys that only hold named children; ``str(GoldenDiff)`` leaves them out.
+_CONTAINERS = ("fixtures", "algorithms")
 
 
 def _round(value: float) -> float:
@@ -81,7 +109,7 @@ def record_device(
     ordering: str = GOLDEN_ORDERING,
     cost_model: CostModel | None = None,
 ) -> dict:
-    """Run the full fixture x algorithm matrix on one device preset."""
+    """Run the full fixture x algorithm metric matrix on one device preset."""
     device = get_device(device_name)
     fixtures: dict[str, dict] = {}
     for fname in fixture_names():
@@ -111,6 +139,96 @@ def record_device(
     }
 
 
+def _cluster_cell(record, base_time: float | None) -> dict:
+    tn = record.cluster_time_s or 0.0
+    speedup = (base_time / tn) if (base_time and tn > 0) else 1.0
+    return {
+        "count": int(record.triangles),
+        "cluster_time_s": _round(tn),
+        "speedup": _round(speedup),
+        "efficiency": _round(speedup / record.devices),
+        "exchange_bytes": int(record.total_exchange_bytes),
+        "global_load_requests": _round(record.counters["global_load_requests"]),
+        "warp_execution_efficiency": _round(record.counters["warp_execution_efficiency"]),
+        "partitions": [
+            {
+                "owned_edges": p.owned_edges,
+                "triangles": p.triangles,
+                "exchange_bytes": p.exchange_bytes,
+                "global_load_requests": _round(p.counters.get("global_load_requests", 0.0)),
+                "sim_time_s": _round(p.sim_time_s),
+                "exchange_time_s": _round(p.exchange_time_s),
+            }
+            for p in record.partitions
+        ],
+    }
+
+
+def record_cluster_device(
+    device_name: str,
+    *,
+    blocks: int = GOLDEN_BLOCKS,
+    ordering: str = GOLDEN_ORDERING,
+    seed: int = CLUSTER_GOLDEN_SEED,
+    cost_model: CostModel | None = None,
+) -> dict:
+    """Run the cluster scale-out matrix on one device preset."""
+    device = get_device(device_name)
+    fixtures: dict[str, dict] = {}
+    for fname in CLUSTER_GOLDEN_FIXTURES:
+        csr = fixture_csr(fname, ordering)
+        algorithms: dict[str, dict] = {}
+        for alg in CLUSTER_GOLDEN_ALGORITHMS:
+            by_partitioner: dict[str, dict] = {}
+            for partitioner in CLUSTER_GOLDEN_PARTITIONERS:
+                cells: dict[str, dict] = {}
+                base_time: float | None = None
+                for devices in CLUSTER_GOLDEN_DEVICE_COUNTS:
+                    record = run_cluster(
+                        alg,
+                        csr,
+                        devices=devices,
+                        partitioner=partitioner,
+                        seed=seed,
+                        device=device,
+                        ordering=ordering,
+                        max_blocks_simulated=blocks,
+                        cost_model=cost_model,
+                        dataset=fname,
+                    )
+                    if devices == 1:
+                        base_time = record.cluster_time_s
+                    cells[f"devices={devices}"] = _cluster_cell(record, base_time)
+                by_partitioner[partitioner] = cells
+            algorithms[alg] = by_partitioner
+        fixtures[fname] = {"n": csr.n, "m": csr.m, "algorithms": algorithms}
+    return {
+        "schema": GOLDEN_SCHEMA,
+        "device": device_name,
+        "blocks": blocks,
+        "ordering": ordering,
+        "seed": seed,
+        "fixtures": fixtures,
+    }
+
+
+#: Snapshot kinds, named after their CLI command: file-name prefix and recorder.
+KINDS = {
+    "golden": ("", record_device),
+    "cluster": ("cluster_", record_cluster_device),
+}
+
+
+def golden_path(
+    device_name: str, root: str | Path | None = None, *, kind: str = "golden"
+) -> Path:
+    """Snapshot file of one kind for one device preset
+    (``tests/goldens/<prefix><device>.json``)."""
+    if root is None:
+        root = Path(__file__).resolve().parents[3] / "tests" / "goldens"
+    return Path(root) / f"{KINDS[kind][0]}{device_name}.json"
+
+
 def write_goldens(snapshot: dict, path: str | Path) -> Path:
     """Serialise a snapshot deterministically (sorted keys, trailing newline)."""
     path = Path(path)
@@ -120,37 +238,73 @@ def write_goldens(snapshot: dict, path: str | Path) -> Path:
 
 
 def load_goldens(path: str | Path) -> dict:
-    """Load a snapshot, validating its schema version."""
+    """Load a snapshot of either kind, validating its schema version."""
     snapshot = json.loads(Path(path).read_text())
     schema = snapshot.get("schema")
     if schema != GOLDEN_SCHEMA:
         raise ValueError(
             f"golden schema mismatch in {path}: file has {schema!r}, "
             f"code expects {GOLDEN_SCHEMA} — regenerate with "
-            "`python -m repro.verify golden --update`"
+            "`python -m repro.verify golden --update` (or `cluster --update`)"
         )
     return snapshot
 
 
 @dataclass(frozen=True)
 class GoldenDiff:
-    """One baseline violation: where, which metric, and both values."""
+    """One baseline violation: the path of the differing key and both values.
 
-    fixture: str
-    algorithm: str
-    metric: str
-    golden: float | int | None
-    current: float | int | None
+    ``None`` stands for a side on which the key is missing.  A subtree (a
+    whole fixture, algorithm or cell) present on one side only is one diff
+    naming it.
+    """
+
+    path: tuple[str | int, ...]
+    golden: object
+    current: object
+
+    @property
+    def key(self) -> tuple[str | int, ...]:
+        """The path without the ``fixtures``/``algorithms`` container keys."""
+        return tuple(p for p in self.path if p not in _CONTAINERS)
 
     def __str__(self) -> str:
-        return (
-            f"{self.fixture} / {self.algorithm} / {self.metric}: "
-            f"golden={self.golden!r} current={self.current!r}"
-        )
+        where = ""
+        for part in self.key:
+            if isinstance(part, int):
+                where += f"[{part}]"
+            else:
+                where += f" / {part}" if where else part
+        return f"{where}: golden={_show(self.golden)} current={_show(self.current)}"
 
 
-def _close(a: float, b: float, rtol: float, atol: float) -> bool:
-    return abs(a - b) <= atol + rtol * abs(b)
+def _show(value) -> str:
+    if value is None:
+        return "<missing>"
+    if isinstance(value, (dict, list)):
+        return "<present>"
+    return repr(value)
+
+
+def _differs(g, c, rtol: float, atol: float) -> bool:
+    if isinstance(g, float) or isinstance(c, float):
+        if not (isinstance(g, Real) and isinstance(c, Real)):
+            return True
+        return not abs(float(c) - float(g)) <= atol + rtol * abs(float(g))
+    return bool(g != c)
+
+
+def _walk(g, c, path: tuple, rtol: float, atol: float, out: list[GoldenDiff]) -> None:
+    if isinstance(g, list) and isinstance(c, list):
+        g, c = dict(enumerate(g)), dict(enumerate(c))
+    if isinstance(g, dict) and isinstance(c, dict):
+        for key in sorted(set(g) | set(c)):
+            if key not in g or key not in c:
+                out.append(GoldenDiff(path + (key,), g.get(key), c.get(key)))
+            else:
+                _walk(g[key], c[key], path + (key,), rtol, atol, out)
+    elif _differs(g, c, rtol, atol):
+        out.append(GoldenDiff(path, g, c))
 
 
 def compare_snapshots(
@@ -160,67 +314,44 @@ def compare_snapshots(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> list[GoldenDiff]:
-    """All metric-level differences between two snapshots.
+    """Every differing key between two snapshots, in sorted path order.
 
-    Counts compare exactly; float metrics within ``atol + rtol * |golden|``.
-    Fixtures or algorithms present on only one side are reported as diffs
-    against ``None`` so a silently dropped algorithm cannot pass the gate.
+    Counts and every other non-float value (``n``, ``m``, ``blocks``,
+    ``ordering``, ``device``, ...) compare exactly; floats within
+    ``atol + rtol * |golden|``.  A key present on one side only is one
+    diff, so a silently dropped fixture, algorithm or cell cannot pass.
     """
     diffs: list[GoldenDiff] = []
-    gold_fixtures = golden.get("fixtures", {})
-    cur_fixtures = current.get("fixtures", {})
-    for fname in sorted(set(gold_fixtures) | set(cur_fixtures)):
-        gf = gold_fixtures.get(fname)
-        cf = cur_fixtures.get(fname)
-        if gf is None or cf is None:
-            diffs.append(
-                GoldenDiff(fname, "*", "fixture", None if gf is None else "present",
-                           None if cf is None else "present")
-            )
-            continue
-        gal = gf.get("algorithms", {})
-        cal = cf.get("algorithms", {})
-        for alg in sorted(set(gal) | set(cal)):
-            ga = gal.get(alg)
-            ca = cal.get(alg)
-            if ga is None or ca is None:
-                diffs.append(
-                    GoldenDiff(fname, alg, "algorithm", None if ga is None else "present",
-                               None if ca is None else "present")
-                )
-                continue
-            if ga["count"] != ca["count"]:
-                diffs.append(GoldenDiff(fname, alg, "count", ga["count"], ca["count"]))
-            for metric in GOLDEN_METRICS:
-                if not _close(float(ca[metric]), float(ga[metric]), rtol, atol):
-                    diffs.append(GoldenDiff(fname, alg, metric, ga[metric], ca[metric]))
+    _walk(golden, current, (), rtol, atol, diffs)
     return diffs
 
 
 def check_device(
     device_name: str,
     *,
+    kind: str = "golden",
     root: str | Path | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     cost_model: CostModel | None = None,
 ) -> list[GoldenDiff]:
-    """Re-record one device and diff it against the checked-in snapshot."""
-    golden = load_goldens(golden_path(device_name, root))
-    current = record_device(
-        device_name,
-        blocks=int(golden.get("blocks", GOLDEN_BLOCKS)),
-        ordering=str(golden.get("ordering", GOLDEN_ORDERING)),
-        cost_model=cost_model,
-    )
+    """Re-record one device's snapshot of ``kind`` and diff it against the
+    checked-in one, with the run parameters the checked-in one names."""
+    golden = load_goldens(golden_path(device_name, root, kind=kind))
+    params = {k: golden[k] for k in ("blocks", "ordering", "seed") if k in golden}
+    current = KINDS[kind][1](device_name, cost_model=cost_model, **params)
     return compare_snapshots(golden, current, rtol=rtol, atol=atol)
 
 
 def update_goldens(
-    devices: tuple[str, ...] = GOLDEN_DEVICES, *, root: str | Path | None = None
+    devices: tuple[str, ...] = GOLDEN_DEVICES,
+    *,
+    kind: str = "golden",
+    root: str | Path | None = None,
 ) -> list[Path]:
-    """Regenerate and write the snapshots for the given devices."""
+    """Regenerate and write the snapshots of ``kind`` for the given devices."""
+    record = KINDS[kind][1]
     return [
-        write_goldens(record_device(device), golden_path(device, root))
+        write_goldens(record(device), golden_path(device, root, kind=kind))
         for device in devices
     ]

@@ -9,16 +9,16 @@ import pytest
 
 from repro.gpu.engine import event_oracle
 from repro.verify.cli import main as verify_main
-from repro.verify.cluster_goldens import (
-    CLUSTER_GOLDEN_SCHEMA,
-    check_cluster_device,
-    cluster_golden_path,
-    compare_cluster_snapshots,
-    load_cluster_goldens,
-    record_cluster_device,
-    write_cluster_goldens,
-)
 from repro.verify.fixtures import GOLDEN_DEVICES
+from repro.verify.goldens import (
+    GOLDEN_SCHEMA,
+    check_device,
+    compare_snapshots,
+    golden_path,
+    load_goldens,
+    record_cluster_device,
+    write_goldens,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,31 +30,31 @@ def snapshot():
 class TestCommittedGoldens:
     @pytest.mark.parametrize("device", GOLDEN_DEVICES)
     def test_committed_snapshots_exist(self, device):
-        assert cluster_golden_path(device).exists()
+        assert golden_path(device, kind="cluster").exists()
 
     @pytest.mark.parametrize("device", GOLDEN_DEVICES)
     def test_no_drift_from_committed(self, device):
-        diffs = check_cluster_device(device)
-        assert diffs == [], "\n".join(diffs)
+        diffs = check_device(device, kind="cluster")
+        assert diffs == [], "\n".join(map(str, diffs))
 
     def test_update_reproduces_committed_bytes(self, snapshot, tmp_path):
         """--update is deterministic down to the byte: regenerating must
         reproduce the committed file exactly (sorted keys, 10-sig-digit
         floats, trailing newline)."""
-        path = write_cluster_goldens(snapshot, tmp_path / "cluster_sim-v100.json")
-        assert path.read_bytes() == cluster_golden_path("sim-v100").read_bytes()
+        path = write_goldens(snapshot, tmp_path / "cluster_sim-v100.json")
+        assert path.read_bytes() == golden_path("sim-v100", kind="cluster").read_bytes()
 
     @pytest.mark.parametrize("engine", ("vectorized", "event"))
     def test_engines_agree_byte_for_byte(self, engine, tmp_path):
         with event_oracle() if engine == "event" else nullcontext():
             snap = record_cluster_device("sim-v100")
-        path = write_cluster_goldens(snap, tmp_path / "snap.json")
-        assert path.read_bytes() == cluster_golden_path("sim-v100").read_bytes()
+        path = write_goldens(snap, tmp_path / "snap.json")
+        assert path.read_bytes() == golden_path("sim-v100", kind="cluster").read_bytes()
 
 
 class TestSnapshotMechanics:
     def test_snapshot_shape(self, snapshot):
-        assert snapshot["schema"] == CLUSTER_GOLDEN_SCHEMA
+        assert snapshot["schema"] == GOLDEN_SCHEMA
         fixture = snapshot["fixtures"]["powerlaw-120"]
         cells = fixture["algorithms"]["TRUST"]["hash2d"]
         assert set(cells) == {"devices=1", "devices=2", "devices=4"}
@@ -67,27 +67,27 @@ class TestSnapshotMechanics:
         bad = tmp_path / "cluster_sim-v100.json"
         bad.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError, match="schema mismatch"):
-            load_cluster_goldens(bad)
+            load_goldens(bad)
 
     def test_compare_reports_both_missing_sides(self):
         golden = {"a": 1, "b": 2.0}
         current = {"b": 2.0, "c": 3}
-        diffs = compare_cluster_snapshots(golden, current)
-        assert any("current=<missing>" in d for d in diffs)
-        assert any("golden=<missing>" in d for d in diffs)
+        diffs = compare_snapshots(golden, current)
+        assert any("current=<missing>" in str(d) for d in diffs)
+        assert any("golden=<missing>" in str(d) for d in diffs)
 
     def test_compare_tolerates_float_noise(self):
         golden = {"x": 1.0}
-        assert compare_cluster_snapshots(golden, {"x": 1.0 + 1e-9}) == []
-        assert compare_cluster_snapshots(golden, {"x": 1.01}) != []
+        assert compare_snapshots(golden, {"x": 1.0 + 1e-9}) == []
+        assert compare_snapshots(golden, {"x": 1.01}) != []
 
     def test_compare_counts_exactly(self):
-        assert compare_cluster_snapshots({"count": 7}, {"count": 8}) != []
+        assert compare_snapshots({"count": 7}, {"count": 8}) != []
 
 
 class TestVerifyCli:
     def test_update_then_check_round_trip(self, snapshot, tmp_path, capsys):
-        write_cluster_goldens(snapshot, tmp_path / "cluster_sim-v100.json")
+        write_goldens(snapshot, tmp_path / "cluster_sim-v100.json")
         code = verify_main(
             ["cluster", "--check", "--root", str(tmp_path), "--devices", "sim-v100"]
         )
@@ -105,7 +105,7 @@ class TestVerifyCli:
         doctored = json.loads(json.dumps(snapshot))
         cell = doctored["fixtures"]["clique-12"]["algorithms"]["Polak"]["edge1d"]
         cell["devices=2"]["count"] += 1
-        write_cluster_goldens(doctored, tmp_path / "cluster_sim-v100.json")
+        write_goldens(doctored, tmp_path / "cluster_sim-v100.json")
         code = verify_main(
             ["cluster", "--check", "--root", str(tmp_path), "--devices", "sim-v100"]
         )

@@ -24,6 +24,7 @@ from repro.verify.fixtures import GOLDEN_DEVICES, fixture_names
 from repro.verify.goldens import (
     GOLDEN_METRICS,
     GOLDEN_SCHEMA,
+    GoldenDiff,
     compare_snapshots,
     golden_path,
     load_goldens,
@@ -76,7 +77,7 @@ def test_costmodel_perturbation_fails_with_named_metric(current_snapshots):
     perturbed = record_device("sim-v100", cost_model=CostModel(dram_latency_cycles=451.0))
     diffs = compare_snapshots(current_snapshots["sim-v100"], perturbed)
     assert diffs, "dram_latency_cycles 450 -> 451 went unnoticed"
-    assert {d.metric for d in diffs} == {"sim_time_s"}
+    assert {d.key[-1] for d in diffs} == {"sim_time_s"}
 
 
 class TestCompareSnapshots:
@@ -102,26 +103,51 @@ class TestCompareSnapshots:
 
     def test_count_compares_exactly(self):
         diffs = compare_snapshots(self._snapshot(count=1), self._snapshot(count=2))
-        assert [(d.fixture, d.algorithm, d.metric) for d in diffs] == [("fx", "Alg", "count")]
+        assert [d.key for d in diffs] == [("fx", "Alg", "count")]
         assert (diffs[0].golden, diffs[0].current) == (1, 2)
 
     def test_floats_compare_within_tolerance(self):
         golden = self._snapshot(glr=100.0)
         assert compare_snapshots(golden, self._snapshot(glr=100.0 * (1 + 1e-8))) == []
         drifted = compare_snapshots(golden, self._snapshot(glr=100.1))
-        assert [d.metric for d in drifted] == ["global_load_requests"]
+        assert [d.key[-1] for d in drifted] == ["global_load_requests"]
 
     def test_missing_algorithm_is_a_diff(self):
         current = self._snapshot()
         current["fixtures"]["fx"]["algorithms"] = {}
         diffs = compare_snapshots(self._snapshot(), current)
-        assert [(d.algorithm, d.metric) for d in diffs] == [("Alg", "algorithm")]
+        assert [d.key for d in diffs] == [("fx", "Alg")]
+        assert diffs[0].current is None
 
     def test_missing_fixture_is_a_diff(self):
         current = self._snapshot()
         current["fixtures"] = {}
         diffs = compare_snapshots(self._snapshot(), current)
-        assert [(d.fixture, d.metric) for d in diffs] == [("fx", "fixture")]
+        assert [d.key for d in diffs] == [("fx",)]
+        assert diffs[0].current is None
+
+    def test_every_key_compares_not_only_metrics(self):
+        """The leaf walk also checks the header and the fixture sizes."""
+        golden = {**self._snapshot(), "device": "sim-v100"}
+        current = {**self._snapshot(), "device": "sim-rtx4090"}
+        current["fixtures"]["fx"]["m"] = 4
+        diffs = compare_snapshots(golden, current)
+        assert [d.key for d in diffs] == [("device",), ("fx", "m")]
+
+    def test_str_names_the_path_without_container_keys(self):
+        diffs = compare_snapshots(self._snapshot(), self._snapshot(glr=100.1))
+        assert str(diffs[0]) == (
+            "fx / Alg / global_load_requests: golden=100.0 current=100.1"
+        )
+        cell = GoldenDiff(
+            ("fixtures", "fx", "algorithms", "Polak", "edge1d", "devices=2",
+             "partitions", 1, "sim_time_s"),
+            1e-5, None,
+        )
+        assert str(cell) == (
+            "fx / Polak / edge1d / devices=2 / partitions[1] / sim_time_s: "
+            "golden=1e-05 current=<missing>"
+        )
 
 
 def test_load_rejects_schema_mismatch(tmp_path):

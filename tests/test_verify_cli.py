@@ -21,12 +21,16 @@ class TestGoldenCommand:
         assert code == 1
         assert "MISSING" in capsys.readouterr().out
 
-    def test_update_then_check_round_trip(self, tmp_path, capsys):
-        assert main(["golden", "--update", "--devices", "sim-v100", "--root", str(tmp_path)]) == 0
-        written = tmp_path / "sim-v100.json"
+    @pytest.mark.parametrize("kind, prefix", [("golden", ""), ("cluster", "cluster_")],
+                             ids=["golden", "cluster"])
+    def test_update_then_check_round_trip(self, kind, prefix, tmp_path, capsys):
+        """Both snapshot kinds: ``--update`` rewrites the checked-in bytes
+        exactly, and ``--check`` passes on what it wrote."""
+        assert main([kind, "--update", "--devices", "sim-v100", "--root", str(tmp_path)]) == 0
+        written = tmp_path / f"{prefix}sim-v100.json"
         assert written.exists()
-        assert written.read_bytes() == golden_path("sim-v100").read_bytes()
-        assert main(["golden", "--check", "--devices", "sim-v100", "--root", str(tmp_path)]) == 0
+        assert written.read_bytes() == golden_path("sim-v100", kind=kind).read_bytes()
+        assert main([kind, "--check", "--devices", "sim-v100", "--root", str(tmp_path)]) == 0
 
     def test_tampered_golden_fails_with_named_metric(self, tmp_path, capsys):
         """Simulates cost-model drift: a snapshot whose ``sim_time_s`` no
@@ -73,7 +77,7 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "DISAGREEMENT" in out
         report = json.loads((tmp_path / "0" / "report.json").read_text())
-        assert any(k.startswith("Polak/") for k in report["disagreements"])
+        assert any(k.startswith("Polak/") for k in report["findings"])
 
 
 class TestInvariantsCommand:

@@ -5,12 +5,15 @@ injected into a single algorithm must be caught, delta-debugged to a tiny
 edge list, and persisted as a self-contained repro artifact.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import repro.gpu.kernel as kernel_mod
 from repro.algorithms import get_algorithm
+from repro.algorithms.polak import _polak_thread
 from repro.graph.generators import wheel
 from repro.verify.differential import (
     BASELINE,
@@ -20,6 +23,7 @@ from repro.verify.differential import (
     run_fuzz,
     write_artifact,
 )
+from repro.verify.engines import ENGINES
 from repro.verify.shrink import ddmin
 from repro.verify.strategies import STRATEGIES, generate_case, strategy_names
 
@@ -141,7 +145,7 @@ class TestInjectedBugDrill:
 
         report = fuzz_one(0, max_edges=200, artifact_root=tmp_path)
         assert not report.ok
-        assert any(key.startswith("Polak/") for key in report.disagreeing)
+        assert any(key.startswith("Polak/") for key in report.findings)
         assert report.shrunk_edges is not None
         assert report.shrunk_edges.shape[0] <= 12
 
@@ -151,7 +155,7 @@ class TestInjectedBugDrill:
             assert (artifact / name).exists(), name
         payload = json.loads((artifact / "report.json").read_text())
         assert payload["seed"] == 0
-        assert payload["disagreements"]
+        assert payload["findings"]
 
     def test_data_dependent_bug_shrinks_to_minimal_triangle(self, tmp_path, monkeypatch):
         """A bug that only fires on graphs with triangles must shrink to a
@@ -171,7 +175,7 @@ class TestInjectedBugDrill:
         assert failing is not None, "no seed under 60 edges produced a triangle"
 
         report = fuzz_one(failing, max_edges=60, artifact_root=tmp_path)
-        assert set(report.disagreeing) == {"H-INDEX/structural"}
+        assert set(report.findings) == {"H-INDEX/structural"}
         assert report.shrunk_edges is not None
         assert report.shrunk_edges.shape[0] == 3, "minimal witness is one triangle"
         # The shrunk graph still reproduces through the restricted checker.
@@ -187,9 +191,49 @@ class TestInjectedBugDrill:
         from repro.verify.differential import FuzzReport
 
         artifact = write_artifact(
-            FuzzReport(3, case.strategy, case.edges, {}, {"fake": 1}), tmp_path
+            FuzzReport(3, case.strategy, case.edges, {"fake": 1}), tmp_path
         )
         source = (artifact / "test_regression.py").read_text()
         namespace: dict = {}
         exec(compile(source, "test_regression.py", "exec"), namespace)
         namespace["test_fuzz_seed_3_regression"]()  # must not raise on fixed code
+
+    def test_engine_side_counter_bug_caught_shrunk_and_persisted(self, tmp_path, monkeypatch):
+        """The engine-parity oracle under the same fuzz loop: one counter
+        bumped on the vectorised side only must be named as an
+        ``<algorithm>/<metric>`` mismatch, shrunk, persisted, and the
+        generated regression must pass once the bug is gone."""
+        vectorized = kernel_mod.simulate_vectorized
+
+        def bumped(device, program, **launch):
+            local = vectorized(device, program, **launch)
+            if program is _polak_thread:
+                local = dataclasses.replace(
+                    local, global_load_requests=local.global_load_requests + 1
+                )
+            return local
+
+        monkeypatch.setattr(kernel_mod, "simulate_vectorized", bumped)
+        report = fuzz_one(0, oracle=ENGINES, max_edges=40, artifact_root=tmp_path)
+        assert not report.ok
+        assert "Polak/global_load_requests" in report.findings
+        assert all(key.startswith("Polak/") for key in report.findings)
+        assert report.shrunk_edges is not None
+        assert report.shrunk_edges.shape[0] < report.edges.shape[0]
+        assert "Polak/global_load_requests" in report.shrunk_findings
+
+        artifact = report.artifact_dir
+        assert artifact == tmp_path / "0"
+        for name in ("edges.txt", "shrunk.txt", "report.json", "test_regression.py"):
+            assert (artifact / name).exists(), name
+        payload = json.loads((artifact / "report.json").read_text())
+        assert payload["oracle"] == "engines" and payload["seed"] == 0
+        assert payload["findings"]["Polak/global_load_requests"]["vectorized"] == (
+            payload["findings"]["Polak/global_load_requests"]["event"] + 1
+        )
+
+        monkeypatch.undo()
+        source = (artifact / "test_regression.py").read_text()
+        namespace: dict = {}
+        exec(compile(source, "test_regression.py", "exec"), namespace)
+        namespace["test_engines_seed_0_regression"]()  # must not raise on fixed code
