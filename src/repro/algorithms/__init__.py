@@ -14,6 +14,7 @@ from .base import (
     register,
 )
 from .bisson import Bisson
+from . import bisson_emit  # noqa: F401  (registers Bisson's array emitter)
 from .cpu_reference import (
     count_triangles_matrix,
     count_triangles_node_iterator,
@@ -25,6 +26,7 @@ from .fox import Fox
 from .green import Green
 from . import green_emit  # noqa: F401  (registers Green's array emitter)
 from .grouptc import GroupTC
+from . import grouptc_emit  # noqa: F401  (registers GroupTC's array emitter)
 from .hindex import HIndex
 from . import hindex_emit  # noqa: F401  (registers H-INDEX's array emitter)
 from .hu import Hu

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.emit import BARRIER, VARIABLE, WSYNC, Lanes, Sites, emitter, sectors
+from ..gpu.emit import BARRIER, VARIABLE, WSYNC, Lanes, Sites, emitter, runs, sectors
 from ..gpu.engine import register_emitter
 from .trust import BLOCK_DEGREE, MIN_DEGREE, _classify_thread, _trust_thread
 
@@ -48,23 +48,11 @@ WARP_SITES = Sites(_trust_thread, *KEYS, var=WSYNC, skip=range(B_HOP1, ACC))
 BLOCK_SITES = Sites(_trust_thread, *KEYS, var=BARRIER, skip=range(HOP1, B_HOP1))
 
 
-#: the one element of ``out`` the kernel adds to
-_OUT_INDEX = np.zeros(1, dtype=np.int64)
-
-
 def _either(cond, yes: int, no: int) -> np.ndarray:
     """``np.where(cond, yes, no)`` for two site ids, with less overhead."""
     out = cond * (yes - no)
     out += no
     return out
-
-
-def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of ``counts[i]`` entries each: every entry's run and its
-    position in the run."""
-    run = np.repeat(np.arange(counts.size), counts)
-    ends = np.cumsum(counts)
-    return run, np.arange(run.size) - (ends - counts)[run]
 
 
 class TrustLanes(Lanes):
@@ -169,7 +157,7 @@ class TrustLanes(Lanes):
         new = np.append(True, g[1:] != g[:-1])
         lead = sub[new]  # a lane of each warp
         us = self.us[lead]
-        src_warp, s = _runs(self.ue[lead] - us)
+        src_warp, s = runs(self.ue[lead] - us)
         groups = np.bincount(src_warp, minlength=lead.size) + 31 >> 5
         width = int(groups.max()) + 1  # a lane's groups, then its final acc
         at = us[src_warp] + s
@@ -179,7 +167,7 @@ class TrustLanes(Lanes):
 
         # Each position of each source's list, sorted by the (lane, group)
         # block that takes it: blocks are laid out lane by lane.
-        item_src, t = _runs(np.maximum(we - ws, 0))
+        item_src, t = runs(np.maximum(we - ws, 0))
         block = (src_warp[item_src] * 32 + (t & 31)) * width + (s[item_src] >> 5)
         order = np.argsort(block, kind="stable")
         item_src, block = item_src[order], block[order]
@@ -197,7 +185,7 @@ class TrustLanes(Lanes):
         head = np.zeros(nblocks, dtype=np.int64)
         head[src_block] = 3
         size = head + np.bincount(block, weights=steps, minlength=nblocks).astype(np.int64)
-        grp_warp, grp = _runs(groups)
+        grp_warp, grp = runs(groups)
         swap = ((grp_warp * 32)[:, None] + np.arange(32)) * width + grp[:, None]
         size[swap] += 1
         last = np.arange(width - 1, nblocks, width)
@@ -225,7 +213,7 @@ class TrustLanes(Lanes):
         pay[item_at] = sectors(col, j)
         sites[item_at + 1] = PLEN
         pay[item_at + 1] = lw
-        item, slot = _runs(probes)
+        item, slot = runs(probes)
         probe_at = item_at[item] + 2 + slot
         sites[probe_at] = PROBE_S + (slot >= self.depth_cap)
         pay[probe_at] = self.probe_payload(lw[item], spb[item], key[item], slot)
@@ -385,11 +373,7 @@ class TrustLanes(Lanes):
                 sub, slot = sub[go], slot[go]
             self.site[sub] = B_PROBE_S + (slot >= self.depth_cap)
             return pay
-        # ACC: every lane adds its count to out[0]
-        self.site[sub] = self.SITES.done
-        self.out.data[0] += self.tc[sub].sum()
-        self._logged(sub, self.out, _OUT_INDEX)
-        return self.out.base + 0 * sub
+        return self.add_count(sub, self.out, self.tc[sub])  # ACC
 
 
 CLASSIFY_SITES = Sites(_classify_thread, ("g", "rp"), ("g", "rp1"), ("gs", "klass"))

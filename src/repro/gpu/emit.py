@@ -17,7 +17,8 @@ live warp:
 * the ``(op, tag)`` site holding the most of the warp's runnable lanes
   issues; a tie goes to the site whose lowest lane is lowest (the first
   key the scheduler's ascending lane scan inserts).  A ``("bc", ...)``
-  exchange issues only when no other site has runnable lanes;
+  exchange or ``("sc", ...)`` warp scan issues only when no other site
+  has runnable lanes;
 * a lane that reaches ``("w",)`` parks.  A warp with no runnable lane
   left releases its parked lanes in one ``OP_WSYNC`` row: ``nlanes`` is
   the number parked, and its line is the lowest parked lane's;
@@ -38,9 +39,13 @@ Shared memory is a real word array per sampled block, which all of its
 warps share, so shared loads read what the emitted stores wrote, and a
 shared atomic add returns the word's previous value plus the deltas of
 the lower lanes (of lower warps first) that hit the same word in the
-same iteration.  Global stores and atomics write the launch's argument
-arrays and are logged for the writeback; a global pool that several
-sub-groups reuse is a :class:`Workspace`.
+same iteration; an atomic OR whose old value the kernel drops commutes,
+so lanes and warps may OR into one word in any order.  Global stores and
+atomics write the launch's argument arrays and are logged for the
+writeback; a global pool that several sub-groups reuse is a
+:class:`Workspace`.  A kernel may also lay out rows itself
+(:meth:`Lanes.add_rows`) and unroll loops whose trips it knows ahead
+(:attr:`Lanes.LOOPS`).
 
 The kit is exact under three conditions, which a kernel must meet before
 it gets an emitter: its op stream is a pure function of its inputs; the
@@ -82,8 +87,8 @@ from .trace import (
 )
 
 __all__ = [
-    "BARRIER", "VARIABLE", "WSYNC", "EdgeLanes", "Lanes", "Sites", "Workspace",
-    "emitter", "sectors", "yield_sites",
+    "BARRIER", "DELEGATE", "VARIABLE", "WSYNC", "Delegate", "EdgeLanes", "Lanes", "Sites",
+    "Workspace", "emitter", "runs", "sectors", "yield_sites",
 ]
 
 #: A ``__syncwarp()`` yield.
@@ -92,18 +97,27 @@ WSYNC = ("w",)
 BARRIER = ("y",)
 #: The key of a yield whose tuple is a variable (``yield sync``).
 VARIABLE = ()
+#: The key of a ``yield from`` (see :class:`Delegate`).
+DELEGATE = ("yield from",)
 
 _OPCODES = {
     "g": OP_GLOBAL_LOAD,
     "gs": OP_GLOBAL_STORE,
     "ga": OP_GLOBAL_ATOMIC,
+    "go": OP_GLOBAL_ATOMIC,
     "s": OP_SHARED_LOAD,
     "ss": OP_SHARED_STORE,
     "sa": OP_SHARED_ATOMIC,
+    "so": OP_SHARED_ATOMIC,
     "bc": OP_ALU,
+    "sc": OP_ALU,
     "w": OP_WSYNC,
     "y": OP_SYNC_EVENT,
 }
+#: cross-lane exchanges: they issue only when no other site has runnable lanes
+_CROSS = ("bc", "sc")
+#: a row's ``aux``: the extra ALU steps RecordingWarp charges a warp scan
+_AUX = {"sc": 5}
 
 # A row's record-order key: its block's slot, the block's phase, whether
 # it is a barrier row, and its warp in the block, high bits to low.
@@ -119,8 +133,8 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
     ``key`` is the yielded tuple's ``(op, tag)``: the first two string
     constants loaded since the previous yield, or the head of a folded
     tuple constant such as ``("w",)``, or :data:`VARIABLE` for a yielded
-    variable.  The line is the one a generator suspended at that yield
-    reports as ``f_lineno``.
+    variable, or :data:`DELEGATE` for a ``yield from``.  The line is the
+    one a generator suspended at that yield reports as ``f_lineno``.
     """
     out = []
     strs: list[str] = []
@@ -131,6 +145,8 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
                 key = prev.argval[:2]
             elif prev.opname == "BUILD_TUPLE":
                 key = tuple(strs[:2])
+            elif prev.opname == "SEND":
+                key = DELEGATE
             else:
                 key = VARIABLE
             line = next(n for a, b, n in code.co_lines() if a <= ins.offset < b)
@@ -148,28 +164,69 @@ def _kernel_sites(program) -> tuple:
     return tuple(yield_sites(program.__code__))
 
 
+class Delegate:
+    """A kernel's ``yield from helper(...)``: it stands for ``keys``, the
+    helper's own yield sites in source order, whose rows carry the
+    helper's lines (the lines
+    :func:`~repro.obs.attribution.innermost_location` reports while the
+    delegation is active)."""
+
+    def __init__(self, helper, *keys: tuple):
+        self.helper = helper
+        self.keys = keys
+
+
+def _flatten(keys) -> list:
+    out = []
+    for k in keys:
+        out += _flatten(k.keys) if isinstance(k, Delegate) else [k]
+    return out
+
+
+def _site_lines(program, declared) -> list[tuple[str, int]]:
+    found = _kernel_sites(program)
+    keys = [DELEGATE if isinstance(d, Delegate) else d for d in declared]
+    if [k for k, _ in found] != keys:
+        raise RuntimeError(
+            f"{program.__qualname__} yields {[k for k, _ in found]}, expected {keys}"
+        )
+    lines = []
+    for d, (_, line) in zip(declared, found):
+        lines += _site_lines(d.helper, d.keys) if isinstance(d, Delegate) else [line]
+    return lines
+
+
 class Sites:
     """A kernel's yield sites in source order; a site's id is its position.
 
     Sites are named by position, not by ``(op, tag)``: every ``("w",)``
     yield has the same key but its own line.  ``keys`` are the keys
-    :func:`yield_sites` reads; ``var`` resolves a :data:`VARIABLE` yield
-    for a launch (:data:`WSYNC` or :data:`BARRIER`), and ``skip`` names
-    sites a launch never reaches, such as another branch's copy of a
-    site.  Two reached sites may not share a key: the scheduler groups
-    lanes by key.  The declared keys are checked against the kernel's
-    bytecode when the lines are first read (on the first emitted launch),
-    so an edited kernel fails instead of emitting a trace with stale
-    lines.
+    :func:`yield_sites` reads, with a :class:`Delegate` in place of each
+    ``yield from`` (its sites take its place).  ``var`` resolves the
+    :data:`VARIABLE` yields for a launch: one key for all of them (such
+    as :data:`WSYNC` or :data:`BARRIER`), or a list with one key per
+    variable yield in order, and ``skip`` names sites a launch never
+    reaches, such as another branch's copy of a site.  Two reached sites
+    may not share a key: the scheduler groups lanes by key.  The declared
+    keys are checked against the kernel's bytecode when the lines are
+    first read (on the first emitted launch), so an edited kernel fails
+    instead of emitting a trace with stale lines.
 
     Site ``done`` (one past the last) is a retired lane, and also names
     the barrier rows a block emits when it passes a ``("y",)``.
     """
 
-    def __init__(self, program, *keys: tuple, var: tuple | None = None, skip=()):
+    def __init__(self, program, *keys, var: tuple | list | None = None, skip=()):
         self.program = program
         self.declared = keys
-        keys = tuple(var if k == VARIABLE else k for k in keys)
+        keys = _flatten(keys)
+        variable = [i for i, k in enumerate(keys) if k == VARIABLE]
+        resolved = var if isinstance(var, list) else [var] * len(variable)
+        if len(resolved) != len(variable):
+            raise RuntimeError(f"{program.__qualname__}: one key per variable yield")
+        for i, k in zip(variable, resolved):
+            keys[i] = k
+        keys = tuple(keys)
         parks = [k in (WSYNC, BARRIER) for k in keys]
         reached = [k for i, (k, p) in enumerate(zip(keys, parks)) if not p and i not in skip]
         if (
@@ -182,9 +239,10 @@ class Sites:
         self.done = len(keys)
         self.ns = len(keys) + 1
         self.opcode = np.array([_OPCODES[k[0]] for k in keys] + [OP_SYNC_EVENT], dtype=np.uint8)
+        self.aux = np.array([_AUX.get(k[0], 0) for k in keys] + [0], dtype=np.int64)
         self.wsync = np.array([k == WSYNC for k in keys] + [False])
         self.barrier = np.array([k == BARRIER for k in keys] + [False])
-        self.cross = np.array([k[0] == "bc" for k in keys] + [False])
+        self.cross = np.array([k[0] in _CROSS for k in keys] + [False])
         #: sites whose rows carry no payload
         self.bare = self.wsync | self.barrier | self.cross
         self.bare[-1] = True
@@ -195,14 +253,9 @@ class Sites:
 
     @functools.cached_property
     def lines(self) -> list[tuple[str, int]]:
-        """``(file, line)`` of every site, read from the kernel's bytecode."""
-        found = _kernel_sites(self.program)
-        if [k for k, _ in found] != list(self.declared):
-            raise RuntimeError(
-                f"{self.program.__qualname__} yields {[k for k, _ in found]}, "
-                f"expected {list(self.declared)}"
-            )
-        return [line for _, line in found]
+        """``(file, line)`` of every site, read from the bytecode of the
+        kernel and of its delegates."""
+        return _site_lines(self.program, self.declared)
 
 
 def sectors(darr: DeviceArray, idx: np.ndarray) -> np.ndarray:
@@ -211,6 +264,14 @@ def sectors(darr: DeviceArray, idx: np.ndarray) -> np.ndarray:
         # Sector-aligned array: each sector holds a whole number of elements.
         return idx // (SECTOR_BYTES // darr.itemsize) + darr.base // SECTOR_BYTES
     return (darr.base + idx * darr.itemsize) // SECTOR_BYTES
+
+
+def runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts[i]`` entries each: every entry's run and its
+    position in the run."""
+    run = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)
+    return run, np.arange(run.size) - (ends - counts)[run]
 
 
 class _Tape:
@@ -290,6 +351,10 @@ class _Rows:
         self.wide.append(wide)
 
 
+#: the one element of ``out`` a counting kernel adds to
+_OUT_INDEX = np.zeros(1, dtype=np.int64)
+
+
 def _last_of_runs(keys: np.ndarray) -> np.ndarray:
     """Whether each entry of sorted ``keys`` is the last of its run."""
     last = np.ones(keys.size, dtype=bool)
@@ -305,45 +370,67 @@ class Workspace:
     reads back what it wrote before the next overwrites it.  Here they run
     side by side, so each owner keeps the words it writes to itself, and
     the array takes every owner's words in owner order when the launch
-    ends.  Owners are numbered in record order, and an owner reads only
-    words it wrote.
+    ends.  Owners are numbered in record order.  An owner that reads a
+    word it has not written sees its value at launch: the kit is exact
+    when owners that share a word overwrite it before they read it (as
+    TRUST's spill does) or leave it as they found it (as Bisson's bitmap
+    clear does).
     """
 
     def __init__(self, darr: DeviceArray):
         self.darr = darr
         self.span = darr.data.size
-        self._keys: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._table = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        #: every ``(owner, index)`` key written so far, ascending, and its value
+        self.keys = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0, dtype=np.int64)
 
-    def store(self, owner, idx, values) -> None:
-        self.darr.data[idx]  # out of range raises as the generators' store does
-        self._keys.append(owner * self.span + idx % self.span)
-        self._vals.append(np.broadcast_to(values, idx.shape).astype(np.int64))
-
-    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every ``(owner, index)`` key, ascending, with its last value."""
-        if self._keys:
-            keys = np.concatenate([self._table[0], *self._keys])
-            vals = np.concatenate([self._table[1], *self._vals])
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-            last = _last_of_runs(keys)
-            self._table = (keys[last], vals[last])
-            self._keys, self._vals = [], []
-        return self._table
+    def _find(self, owner, idx):
+        key = owner * self.span + idx % self.span
+        pos = np.searchsorted(self.keys, key)
+        found = pos < self.keys.size
+        found[found] = self.keys[pos[found]] == key[found]
+        return key, pos, found
 
     def load(self, owner, idx) -> np.ndarray:
-        keys, vals = self._merged()
-        return vals[np.searchsorted(keys, owner * self.span + idx % self.span)]
+        _, pos, found = self._find(owner, idx)
+        out = self.darr.data[idx].astype(np.int64)
+        out[found] = self.vals[pos[found]]
+        return out
+
+    def store(self, owner, idx, values) -> None:
+        """Owner ``owner[i]`` stores ``values[i]`` at ``idx[i]``; of several
+        stores to one word the last counts."""
+        self.darr.data[idx]  # out of range raises as the generators' store does
+        key, pos, found = self._find(owner, idx)
+        values = np.broadcast_to(values, idx.shape).astype(np.int64)
+        self.vals[pos[found]] = values[found]
+        new = ~found
+        if new.any():
+            key, values = key[new], values[new]
+            order = np.argsort(key, kind="stable")
+            key, values = key[order], values[order]
+            last = _last_of_runs(key)
+            key, values = key[last], values[last]
+            at = np.searchsorted(self.keys, key)
+            self.keys = np.insert(self.keys, at, key)
+            self.vals = np.insert(self.vals, at, values)
+
+    def bit_or(self, owner, idx, mask) -> None:
+        """Atomic OR of ``mask[i]`` into word ``idx[i]`` of owner ``owner[i]``,
+        old values discarded: lanes that hit one word leave the OR of all
+        their masks."""
+        key, inverse = np.unique(owner * self.span + idx % self.span, return_inverse=True)
+        ored = np.zeros(key.size, dtype=np.int64)
+        np.bitwise_or.at(ored, inverse, mask)
+        owner, word = key // self.span, key % self.span
+        self.store(owner, word, self.load(owner, word) | ored)
 
     def flush(self) -> None:
         """Write every owner's words to the array: a word written by
         several owners takes the last owner's value."""
-        keys, vals = self._merged()
-        idx = keys % self.span
+        idx = self.keys % self.span
         order = np.argsort(idx, kind="stable")  # owners ascending per word
-        idx, vals = idx[order], vals[order]
+        idx, vals = idx[order], self.vals[order]
         last = _last_of_runs(idx)
         self.darr.data[idx[last]] = vals[last]
 
@@ -366,6 +453,10 @@ class Lanes:
     #: ``(first site, length)`` of each straight run: sites that follow each
     #: other unconditionally, except that the last may branch
     STRAIGHT: tuple[tuple[int, int], ...] = ()
+    #: first sites of the straight runs that are loop bodies: the run's
+    #: last site sends a lane back to its first or out of the loop (see
+    #: :meth:`trips` and :meth:`unroll`)
+    LOOPS: tuple[int, ...] = ()
     #: barrier phases (0 before a block's first ``("y",)``) in which a
     #: block's warps run one after another, as generator recording runs
     #: them: phases where one warp's shared effects steer another's
@@ -452,6 +543,26 @@ class Lanes:
         lanes are being released, or a ``("bc", ...)`` exchange)."""
         raise NotImplementedError
 
+    def add_rows(self, sites, nlanes, segs, pay) -> None:
+        """Rows a kernel lays out itself, in issue order for each warp
+        segment ``segs[i]`` (the segment of a lane is ``wl``); ``pay``
+        lists the payload of every row in row order."""
+        self._out.add(sites, nlanes, self.okey[segs], pay, np.where(self.SITES.bare[sites], 0, nlanes))
+
+    def trips(self, first: int, sub: np.ndarray) -> np.ndarray:
+        """Lanes ``sub``, at the first site of loop ``first``: how many
+        times in a row each runs the loop's body from here, this one
+        included."""
+        raise NotImplementedError
+
+    def unroll(self, first: int, sub: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Run ``k[i]`` trips of loop ``first`` for lane ``sub[i]``, and
+        leave its registers and site as after the last.  Returns the
+        payload of every trip's sites, ``[trip, site of the body, lane]``;
+        entries past a lane's last trip are ignored.  The kit calls it
+        right after :meth:`trips`, for the same lanes."""
+        raise NotImplementedError
+
     # -- memory ops for issue() ------------------------------------------
 
     def shared_load(self, sub, idx) -> np.ndarray:
@@ -482,6 +593,22 @@ class Lanes:
         self.smem.reshape(-1)[w[ends]] += total - base
         return old
 
+    def shared_or(self, sub, idx, mask) -> np.ndarray:
+        """Shared atomic OR whose old value the kernel discards; the
+        payload.  Lanes that hit one word, in a row or in several warps of
+        a block, leave the OR of all their masks."""
+        np.bitwise_or.at(self.smem, (self.bs[sub], idx), mask)
+        return idx
+
+    def warp_scan(self, sub, values) -> np.ndarray:
+        """A ``("sc", ...)`` row: each lane's inclusive sum of ``values``
+        over the lanes of its warp in ``sub``, in ascending lane order."""
+        total = np.cumsum(values)
+        w = self.wl[sub]
+        first = np.flatnonzero(np.append(True, w[1:] != w[:-1]))
+        before = total[first] - values[first]
+        return total - np.repeat(before, np.diff(np.append(first, w.size)))
+
     def _logged(self, sub, darr: DeviceArray, idx) -> None:
         entry = self._writes.get(id(darr))
         first = (int(self.okey[self.wl[sub]].min()), self.it)
@@ -509,11 +636,20 @@ class Lanes:
         self._logged(sub, pool.darr, idx)
         return sectors(pool.darr, idx)
 
-    def global_add(self, sub, darr: DeviceArray, idx, delta) -> np.ndarray:
-        """Global atomic add whose old value the kernel discards."""
-        np.add.at(darr.data, idx, delta)
-        self._logged(sub, darr, idx)
-        return darr.base + idx * darr.itemsize
+    def pool_or(self, sub, pool: Workspace, owner, idx, mask) -> np.ndarray:
+        """A global atomic OR into ``pool`` (old value discarded), as owner
+        ``owner[i]`` of lane ``sub[i]``; the byte addresses."""
+        pool.bit_or(owner, idx, mask)
+        self._logged(sub, pool.darr, idx)
+        return pool.darr.base + idx * pool.darr.itemsize
+
+    def add_count(self, sub, out: DeviceArray, counts) -> np.ndarray:
+        """A counting kernel's last ``("ga", "acc", out, 0, count)``: every
+        lane adds its count to ``out[0]`` and retires."""
+        self.site[sub] = self.SITES.done
+        out.data[0] += counts.sum()
+        self._logged(sub, out, _OUT_INDEX)
+        return out.base + 0 * sub
 
     def writeback(self) -> np.ndarray | None:
         """The launch's writeback log (:func:`repro.gpu.engine._writeback_log`)."""
@@ -568,7 +704,7 @@ class Lanes:
         nlanes[nlanes > ws] -= ws
         return win, nlanes, sync
 
-    def _release(self, win, out: _Rows) -> bool:
+    def _release(self, win) -> bool:
         """Open the barrier of every block whose warps have all parked at a
         ``("y",)`` or retired: one barrier row per parked warp, then the
         lanes go on into the block's next phase."""
@@ -581,7 +717,7 @@ class Lanes:
         segs = self.waiting & opened[self.seg_bs]
         k = int(segs.sum())
         none = np.zeros(k, dtype=np.int64)
-        out.add(np.full(k, self.SITES.done, dtype=np.int8), none, self.okey[segs] + _SYNC_ROW,
+        self._out.add(np.full(k, self.SITES.done, dtype=np.int8), none, self.okey[segs] + _SYNC_ROW,
                 np.empty(0, dtype=np.int64), none)
         self.phase[opened] += 1
         self._keys()
@@ -607,14 +743,14 @@ class Lanes:
 
     def run(self) -> LaunchTrace:
         S = self.SITES
-        out = _Rows()
-        runs = dict(self.STRAIGHT)
+        out = self._out = _Rows()
+        straight = dict(self.STRAIGHT)
         barriers = S.barrier_ids.size > 0
         bare = S.wsync_ids.size > 0 or S.cross.any()
         while self.site.size:
             win, nlanes, sync = self.select()
             if barriers:
-                if self._release(win, out):
+                if self._release(win):
                     continue
                 if self.ORDERED:
                     self._hold(win, sync)
@@ -636,7 +772,7 @@ class Lanes:
                 got = self.issue(site, sub)
                 if got is not None:
                     pay[at] = got
-                if site in runs:
+                if site in straight:
                     started.append((site, sub))
             npay = nl
             if bare:
@@ -649,12 +785,12 @@ class Lanes:
             # warp's rows stay in issue order.
             out.add(rows, nl, self.okey[live], pay, npay)
             for first, sub in started:
-                self._straight(first, runs[first], sub, win, nlanes, out)
+                self._straight(first, straight[first], sub, win, nlanes)
             if self.retired * 2 > self.site.size:
                 self.compact()
-        return self._trace(out)
+        return self._trace()
 
-    def _straight(self, first: int, length: int, sub, win, nlanes, out: _Rows) -> None:
+    def _straight(self, first: int, length: int, sub, win, nlanes) -> None:
         """Rows 2..``length`` of a straight run whose first site lanes
         ``sub`` just issued.  In a warp where no other lane waits at the
         run's later sites the group moves as one and keeps winning, so it
@@ -681,11 +817,42 @@ class Lanes:
         keys = self.okey[go]
         for site in range(first + 1, first + length):
             pay = self.issue(site, lanes)
-            out.add(self._site_rows[site][: keys.size], nl, keys, pay, nl)
+            self._out.add(self._site_rows[site][: keys.size], nl, keys, pay, nl)
         self.it += length - 1
+        if first in self.LOOPS:
+            self._loop(first, length, lanes)
 
-    def _trace(self, out: _Rows) -> LaunchTrace:
+    def _loop(self, first: int, length: int, lanes) -> None:
+        """More trips of loop ``first`` for the groups ``lanes`` that just
+        ran its body.  A warp whose whole group came back to ``first``
+        holds the lanes it held when the group won, so the group wins
+        again until a lane leaves the loop: it runs as many trips as the
+        fewest of its lanes' :meth:`trips` now."""
+        back = self.site[lanes] == first
+        if not back.any():
+            return
+        seg = self.wl[lanes]
+        if not back.all():
+            lanes = lanes[np.bincount(seg[~back], minlength=self.starts.size)[seg] == 0]
+            if not lanes.size:
+                return
+            seg = self.wl[lanes]
+        heads = np.flatnonzero(np.append(True, seg[1:] != seg[:-1]))
+        k = np.minimum.reduceat(self.trips(first, lanes), heads)
+        nl = np.diff(np.append(heads, lanes.size))
+        k_lane = np.repeat(k, nl)
+        pay = self.unroll(first, lanes, k_lane)
+        trips = pay.shape[0]
+        # rows trip by trip, each trip's sites in order, warps in order
+        pay = pay.reshape(trips * length, -1)[np.repeat(np.arange(trips)[:, None] < k_lane, length, axis=0)]
+        row, warp = np.nonzero(np.repeat(np.arange(trips)[:, None] < k, length, axis=0))
+        nl = nl[warp]
+        self._out.add((first + row % length).astype(np.int8), nl, self.okey[seg[heads]][warp], pay, nl)
+        self.it += trips * length
+
+    def _trace(self) -> LaunchTrace:
         S = self.SITES
+        out = self._out
         out.stage()
         tapes = out.tapes
         site, nl, key, low = (tapes[k].view() for k in ("site", "nl", "key", "low"))
@@ -701,6 +868,7 @@ class Lanes:
         # staged in iteration order.
         order = np.argsort(key, kind="stable")
         ops = S.opcode[site[order]]
+        aux = S.aux[site[order]]
         loc = site[order].astype(np.int32)
         npay = npay[order]
         nl = nl[order].astype(np.int64)
@@ -739,7 +907,6 @@ class Lanes:
             else:
                 seg += tapes["narrow"].buf[src]
             b0 = b1
-        aux = np.zeros(nl.size, dtype=np.int64)
         per_block = []
         for b in range(self.nblk):
             r0, r1 = row_off[b], row_off[b + 1]
@@ -822,8 +989,7 @@ class EdgeLanes(Lanes):
 
     def finish(self, sub) -> np.ndarray:
         """The final ``("ga", "acc", out, 0, tc)``: the lanes retire."""
-        self.site[sub] = self.SITES.done
-        return self.global_add(sub, self.out, np.zeros(sub.size, dtype=np.int64), self.tc[sub])
+        return self.add_count(sub, self.out, self.tc[sub])
 
 
 def emitter(lanes_cls):

@@ -52,6 +52,7 @@ from .strategies import generate_case
 
 __all__ = [
     "BASELINE",
+    "CRASH",
     "IMPLEMENTATIONS",
     "FuzzReport",
     "Oracle",
@@ -237,6 +238,20 @@ def write_artifact(report: FuzzReport, root: str | Path | None = None) -> Path:
     return out
 
 
+#: The finding key of a check that raised.
+CRASH = "crash"
+
+
+def _check(oracle: Oracle, edges: np.ndarray, suspects: set[str] | None) -> dict:
+    """``oracle.check``, with an exception recorded as a :data:`CRASH`
+    finding that names it and the suspects checked."""
+    try:
+        return oracle.check(edges, suspects)
+    except Exception as exc:
+        checked = ", ".join(sorted(suspects)) if suspects else "every path"
+        return {CRASH: f"{type(exc).__name__}: {exc} (checking {checked})"}
+
+
 def fuzz_one(
     seed: int,
     *,
@@ -247,27 +262,21 @@ def fuzz_one(
 ) -> FuzzReport:
     """Fuzz one seed end to end: generate, check, shrink, persist.
 
-    ``max_edges`` defaults to the oracle's edge budget.
+    ``max_edges`` defaults to the oracle's edge budget.  A check that
+    raises is a :data:`CRASH` finding: a candidate that crashes counts as
+    failing while shrinking, so the shrunk graph may be a crashing one.
     """
     case = generate_case(seed, oracle.max_edges if max_edges is None else max_edges)
-    findings = oracle.check(case.edges, None)
+    findings = _check(oracle, case.edges, None)
     report = FuzzReport(seed, case.strategy, case.edges, findings, oracle)
     if report.ok:
         return report
     if shrink:
-        suspects = set(findings)
-
-        def predicate(candidate: np.ndarray) -> bool:
-            try:
-                return bool(oracle.check(candidate, suspects))
-            except Exception:
-                # A candidate that crashes an implementation is also a
-                # failure worth keeping; the shrinker may converge on it.
-                return True
-
-        shrunk = ddmin(case.edges, predicate)
+        # After a crash every path is a suspect.
+        suspects = set(findings) - {CRASH} or None
+        shrunk = ddmin(case.edges, lambda candidate: bool(_check(oracle, candidate, suspects)))
         report = replace(
-            report, shrunk_edges=shrunk, shrunk_findings=oracle.check(shrunk, suspects)
+            report, shrunk_edges=shrunk, shrunk_findings=_check(oracle, shrunk, suspects)
         )
     return replace(report, artifact_dir=write_artifact(report, artifact_root))
 

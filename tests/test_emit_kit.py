@@ -13,9 +13,14 @@ import pytest
 
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100
-from repro.gpu.emit import BARRIER, VARIABLE, WSYNC, Lanes, Sites, emitter, sectors, yield_sites
+from repro.gpu.emit import (
+    BARRIER, DELEGATE, VARIABLE, WSYNC, Delegate, Lanes, Sites, emitter, sectors, yield_sites,
+)
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.trace import OP_ALU, OP_GLOBAL_LOAD, OP_SYNC_EVENT, OP_WSYNC
+from repro.gpu.trace import (
+    OP_ALU, OP_GLOBAL_ATOMIC, OP_GLOBAL_LOAD, OP_GLOBAL_STORE, OP_SHARED_ATOMIC, OP_SHARED_LOAD,
+    OP_SHARED_STORE, OP_SYNC_EVENT, OP_WSYNC,
+)
 from tests.emit_checks import assert_identical
 
 
@@ -375,3 +380,274 @@ def test_a_variable_yield_resolves_per_launch(warp_only):
         assert rows.ops.tolist() == [OP_GLOBAL_LOAD, OP_WSYNC, OP_GLOBAL_LOAD] * 2
     else:
         assert rows.ops.tolist() == [OP_GLOBAL_LOAD] * 2 + [OP_SYNC_EVENT] * 2 + [OP_GLOBAL_LOAD] * 2
+
+
+def _or_thread(ctx, out):
+    yield ("so", "set", ctx.lane % 3, 1 << (ctx.tid % 5))
+    yield ("y",)
+    bits = yield ("s", "get", ctx.lane % 3)
+    yield ("gs", "keep", out, ctx.tid, bits)
+
+
+class OrLanes(Lanes):
+    SITES = Sites(_or_thread, ("so", "set"), BARRIER, ("s", "get"), ("gs", "keep"))
+    REGS = ("bits",)
+
+    def start(self):
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        word = self.lane[sub] % 3
+        self.site[sub] = site + 1
+        if site == 0:
+            return self.shared_or(sub, word, np.left_shift(1, self.tid[sub] % 5))
+        if site == 1:
+            return None
+        if site == 2:
+            self.bits[sub] = self.shared_load(sub, word)
+            return word
+        self.site[sub] = self.SITES.done
+        return self.global_store(sub, self.args[0], self.tid[sub], self.bits[sub])
+
+
+def test_shared_atomic_or_within_a_row_and_across_warps():
+    """Each word of a 3-warp block takes the OR of every lane's bit that
+    hit it, from all three warps; the old values are dropped."""
+    out = GlobalMemory(SIM_V100).zeros("out", 192)
+    trace = record_both(_or_thread, OrLanes, (out,), block_dim=96, shared_words=3)
+    assert first_block(trace).ops.tolist()[:3] == [OP_SHARED_ATOMIC] * 3
+    tid = np.arange(192)
+    expected = [
+        np.bitwise_or.reduce(1 << (block[block % 32 % 3 == w] % 5))
+        for block in (tid[:96], tid[96:]) for w in range(3)
+    ]
+    got = trace.writeback[:, 2].reshape(2, 96)
+    for b in range(2):
+        np.testing.assert_array_equal(got[b], np.array(expected[3 * b : 3 * b + 3])[tid[:96] % 32 % 3])
+
+
+def _pool_thread(ctx, pool, out):
+    word = (ctx.block % 2) * 4 + ctx.lane % 4
+    yield ("go", "set", pool, word, 1 << (ctx.block + ctx.lane % 3))
+    yield ("y",)
+    bits = yield ("g", "get", pool, word)
+    yield ("gs", "keep", out, ctx.tid, bits)
+    yield ("y",)
+    yield ("gs", "clr", pool, word, 0)
+
+
+class PoolLanes(Lanes):
+    SITES = Sites(
+        _pool_thread, ("go", "set"), BARRIER, ("g", "get"), ("gs", "keep"), BARRIER,
+        ("gs", "clr"),
+    )
+    REGS = ("bits", "word")
+
+    def __init__(self, device, *, args, **launch):
+        super().__init__(device, args=args, **launch)
+        self.pool = self.workspace(args[0])
+
+    def start(self):
+        self.word[:] = (np.asarray(self.blocks)[self.bs] % 2) * 4 + self.lane % 4
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        pool, out = self.args
+        word, owner = self.word[sub], self.bs[sub]
+        self.site[sub] = site + 1
+        if site == 0:
+            block = np.asarray(self.blocks)[owner]
+            return self.pool_or(sub, self.pool, owner, word, np.left_shift(1, block + self.lane[sub] % 3))
+        if site in (1, 4):
+            return None
+        if site == 2:
+            self.bits[sub] = self.pool.load(owner, word)
+            return sectors(pool, word)
+        if site == 3:
+            return self.global_store(sub, out, self.tid[sub], self.bits[sub])
+        self.site[sub] = self.SITES.done
+        return self.pool_store(sub, self.pool, owner, word, 0)
+
+
+def test_global_atomic_or_into_a_workspace_whose_owners_share_a_slot():
+    """Blocks 0 and 2 OR into the same four pool words.  Generator
+    recording runs block 0 to its clear before block 2 starts, so block 2
+    reads only its own bits; side by side, each block is an owner."""
+    gm = GlobalMemory(SIM_V100)
+    pool, out = gm.zeros("pool", 8), gm.zeros("out", 192)
+    trace = record_both(_pool_thread, PoolLanes, (pool, out), block_dim=64, grid_dim=3)
+    assert first_block(trace).ops[0] == OP_GLOBAL_ATOMIC
+    keep = trace.writeback[trace.writeback[:, 0] == 1][:, 2].reshape(3, 64)
+    lane = np.arange(64) % 32
+    for block in range(3):
+        masks = [np.bitwise_or.reduce(1 << (block + lane[lane % 4 == w] % 3)) for w in range(4)]
+        np.testing.assert_array_equal(keep[block], np.array(masks)[lane % 4])
+    assert not trace.writeback[trace.writeback[:, 0] == 0][:, 2].any()
+
+
+def _two_var_thread(ctx, data, out, shared):
+    if shared:
+
+        def put(value):
+            return ("ss", "put", ctx.tid_in_block, value)
+
+        def get():
+            return ("s", "get", ctx.tid_in_block)
+
+    else:
+
+        def put(value):
+            return ("gs", "put", out, ctx.tid, value)
+
+        def get():
+            return ("g", "get", out, ctx.tid)
+
+    x = yield ("g", "x", data, ctx.tid)
+    yield put(x + 1)
+    y = yield get()
+    yield ("gs", "keep", out, ctx.tid, 2 * y)
+
+
+class TwoVarLanes(Lanes):
+    KEYS = (("g", "x"), VARIABLE, VARIABLE, ("gs", "keep"))
+    REGS = ("x",)
+
+    def __init__(self, device, *, args, **launch):
+        shared = args[2]
+        var = [("ss", "put"), ("s", "get")] if shared else [("gs", "put"), ("g", "get")]
+        self.SITES = Sites(_two_var_thread, *self.KEYS, var=var)
+        super().__init__(device, args=args, **launch)
+
+    def start(self):
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        data, out, shared = self.args
+        tid = self.tid[sub]
+        self.site[sub] = site + 1
+        if site == 0:
+            self.x[sub] = data.data[tid]
+            return sectors(data, tid)
+        if site == 1:
+            if shared:
+                self.shared_store(sub, self.tib[sub], self.x[sub] + 1)
+                return self.tib[sub]
+            return self.global_store(sub, out, tid, self.x[sub] + 1)
+        if site == 2:
+            if shared:
+                self.x[sub] = self.shared_load(sub, self.tib[sub])
+                return self.tib[sub]
+            self.x[sub] = out.data[tid]
+            return sectors(out, tid)
+        self.site[sub] = self.SITES.done
+        return self.global_store(sub, out, tid, 2 * self.x[sub])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_variable_yields_resolve_site_by_site(shared):
+    """``yield put(...)`` and ``yield get()`` are two variable yields of
+    one launch with two different keys: shared memory in one launch,
+    global memory in another."""
+    gm = GlobalMemory(SIM_V100)
+    data, out = gm.alloc("data", np.arange(64, dtype=np.int64) * 3), gm.zeros("out", 64)
+    trace = record_both(
+        _two_var_thread, TwoVarLanes, (data, out, shared), shared_words=32 if shared else 0,
+    )
+    middle = [OP_SHARED_STORE, OP_SHARED_LOAD] if shared else [OP_GLOBAL_STORE, OP_GLOBAL_LOAD]
+    assert first_block(trace).ops.tolist() == [OP_GLOBAL_LOAD, *middle, OP_GLOBAL_STORE]
+    np.testing.assert_array_equal(trace.writeback[:, 2], 2 * (np.arange(64) * 3 + 1))
+    with pytest.raises(RuntimeError, match="one key per variable yield"):
+        Sites(_two_var_thread, *TwoVarLanes.KEYS, var=[("ss", "put")])
+
+
+def _scan_thread(ctx, data, out):
+    if ctx.lane % 4 == 0:
+        yield ("g", "late", data, ctx.lane)
+    incl = yield ("sc", "scan", ctx.lane + 1)
+    yield ("gs", "keep", out, ctx.tid, incl)
+
+
+class ScanLanes(Lanes):
+    SITES = Sites(_scan_thread, ("g", "late"), ("sc", "scan"), ("gs", "keep"))
+    REGS = ("incl",)
+
+    def start(self):
+        return np.where(self.lane % 4 == 0, 0, 1)
+
+    def issue(self, site, sub):
+        self.site[sub] = site + 1
+        if site == 0:
+            return sectors(self.args[0], self.lane[sub])
+        if site == 1:
+            self.incl[sub] = self.warp_scan(sub, self.lane[sub] + 1)
+            return None
+        self.site[sub] = self.SITES.done
+        return self.global_store(sub, self.args[1], self.tid[sub], self.incl[sub])
+
+
+def test_a_warp_scan_row():
+    """The scan waits for the eight lanes at ``late``, then issues one ALU
+    row of all 32 lanes with ``aux`` 5 and no payload; each lane gets the
+    inclusive sum over its warp in lane order."""
+    gm = GlobalMemory(SIM_V100)
+    data, out = gm.alloc("data", np.arange(32, dtype=np.int64)), gm.zeros("out", 128)
+    trace = record_both(_scan_thread, ScanLanes, (data, out), block_dim=64)
+    rows = first_block(trace)
+    assert rows.ops.tolist()[:3] == [OP_GLOBAL_LOAD, OP_ALU, OP_GLOBAL_STORE]
+    assert (rows.nlanes[1], rows.aux[1], rows.npay[1]) == (32, 5, 0)
+    lane = np.arange(128) % 32
+    np.testing.assert_array_equal(trace.writeback[:, 2], (lane + 1) * (lane + 2) // 2)
+
+
+def _helper(value, data):
+    a = yield ("g", "h1", data, value)
+    yield ("w",)
+    b = yield ("g", "h2", data, a)
+    return b
+
+
+def _delegating_thread(ctx, data, out):
+    x = yield ("g", "first", data, ctx.lane)
+    y = yield from _helper(x, data)
+    yield ("gs", "keep", out, ctx.tid, y)
+
+
+class DelegatingLanes(Lanes):
+    SITES = Sites(
+        _delegating_thread,
+        ("g", "first"), Delegate(_helper, ("g", "h1"), WSYNC, ("g", "h2")), ("gs", "keep"),
+    )
+    REGS = ("x",)
+    STRAIGHT = ((0, 2),)
+
+    def start(self):
+        return np.zeros(self.lane.size, dtype=np.int64)
+
+    def issue(self, site, sub):
+        data, out = self.args
+        self.site[sub] = site + 1
+        if site == 2:  # released
+            return None
+        if site == 4:
+            self.site[sub] = self.SITES.done
+            return self.global_store(sub, out, self.tid[sub], self.x[sub])
+        idx = self.lane[sub] if site == 0 else self.x[sub]
+        self.x[sub] = data.data[idx]
+        return sectors(data, idx)
+
+
+def test_a_delegate_attributes_to_the_helpers_lines():
+    """``yield from _helper(...)`` is a delegate: its rows, the warp sync
+    included, carry the helper's lines, as ``innermost_location``
+    reports them for generator recording."""
+    assert [k for k, _ in yield_sites(_delegating_thread.__code__)][1] == DELEGATE
+    gm = GlobalMemory(SIM_V100)
+    data, out = gm.alloc("data", (np.arange(64, dtype=np.int64) * 5) % 64), gm.zeros("out", 64)
+    trace = record_both(_delegating_thread, DelegatingLanes, (data, out))
+    rows = first_block(trace)
+    lines = [trace.locations[i][1] for i in rows.loc.tolist()]
+    helper = _helper.__code__
+    assert lines[1:4] == [helper.co_firstlineno + k for k in (1, 2, 3)]
+    assert rows.ops.tolist() == [OP_GLOBAL_LOAD, OP_GLOBAL_LOAD, OP_WSYNC, OP_GLOBAL_LOAD, OP_GLOBAL_STORE]
+    with pytest.raises(RuntimeError, match="expected"):
+        Sites(_delegating_thread, ("g", "first"), ("g", "h1"), WSYNC, ("g", "h2"), ("gs", "keep")).lines

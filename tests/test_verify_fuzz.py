@@ -17,6 +17,7 @@ from repro.algorithms.polak import _polak_thread
 from repro.graph.generators import wheel
 from repro.verify.differential import (
     BASELINE,
+    CRASH,
     count_all,
     disagreements,
     fuzz_one,
@@ -156,6 +157,42 @@ class TestInjectedBugDrill:
         payload = json.loads((artifact / "report.json").read_text())
         assert payload["seed"] == 0
         assert payload["findings"]
+
+    def test_a_crash_while_shrinking_is_a_finding(self, tmp_path, monkeypatch):
+        """Polak's count raises below 5 edges and adds 1 above: the
+        shrinker keeps crashing candidates, so it ends on a crashing
+        graph.  The crash is a finding naming the exception and the
+        suspects, and the bundle is written."""
+        polak = type(get_algorithm("Polak"))
+        orig = polak.count
+
+        def count(self, csr):
+            if csr.m < 5:
+                raise RuntimeError("injected crash")
+            return orig(self, csr) + 1
+
+        monkeypatch.setattr(polak, "count", count)
+        report = fuzz_one(0, max_edges=60, artifact_root=tmp_path)
+        assert report.findings and all(key.startswith("Polak/") for key in report.findings)
+        crash = report.shrunk_findings[CRASH]
+        assert "RuntimeError: injected crash" in crash and "Polak/degree" in crash
+        assert report.shrunk_edges.shape[0] < 5
+        payload = json.loads((report.artifact_dir / "report.json").read_text())
+        assert payload["shrunk_findings"] == {CRASH: crash}
+
+    def test_a_crash_on_the_generated_graph_is_a_finding(self, tmp_path, monkeypatch):
+        polak = type(get_algorithm("Polak"))
+
+        def count(self, csr):
+            raise RuntimeError("injected crash")
+
+        monkeypatch.setattr(polak, "count", count)
+        report = fuzz_one(0, max_edges=60, artifact_root=tmp_path)
+        assert list(report.findings) == [CRASH]
+        assert "RuntimeError: injected crash (checking every path)" == report.findings[CRASH]
+        assert CRASH in report.shrunk_findings
+        for name in ("edges.txt", "shrunk.txt", "report.json", "test_regression.py"):
+            assert (report.artifact_dir / name).exists(), name
 
     def test_data_dependent_bug_shrinks_to_minimal_triangle(self, tmp_path, monkeypatch):
         """A bug that only fires on graphs with triangles must shrink to a
