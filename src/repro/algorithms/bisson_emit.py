@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.emit import BARRIER, VARIABLE, Lanes, Sites, emitter, runs, sectors
+from ..gpu.emit import BARRIER, VARIABLE, Lanes, Sites, emitter, issues_first, runs, sectors
 from ..gpu.engine import register_emitter
 from .bisson import _WORD_BITS, _bisson_thread
 
@@ -51,9 +51,7 @@ def _race(q: list, low: list, full: int, kinds: list, wins: list) -> None:
     at_x = {}  # (h, trips left) -> lanes about to run hop2 in h's list
     mh, mx = full, 0
     while mh or mx:
-        ch = mh.bit_count()
-        cx = mx.bit_count()
-        if ch > cx or (ch == cx and (mh & -mh) < (mx & -mx)):
+        if issues_first(mh.bit_count(), mh & -mh, mx.bit_count(), mx & -mx):
             kinds.append(0)
             wins.append(mh)
             nxt = {}
@@ -164,9 +162,9 @@ class BissonLanes(Lanes):
         ever at the start of one of two straight runs: ``hop1 rpw rpw1``
         for their next 1-hop position ``h``, or ``hop2 load_word`` for
         their next entry of the list of their current ``w``.  At each
-        step the run holding more lanes issues (a tie goes to the one
-        holding the lowest lane), as :func:`_race` plays out on lane
-        masks.  Lane ``l`` of a warp whose first lane is lane ``gl0`` of
+        step one run issues by the scheduler's rule
+        (:func:`~repro.gpu.emit.issues_first`), as :func:`_race` plays out
+        on lane masks.  Lane ``l`` of a warp whose first lane is lane ``gl0`` of
         its sub-group takes ``q + (l < r)`` entries of a list of ``d``,
         where ``q, r = divmod(d - gl0, group)``.
         """

@@ -38,7 +38,7 @@ SITES = Sites(
     ("g", "eu"), ("g", "ev"), ("g", "rpu1"), ("g", "rpv"), ("g", "rpv1"), SCAN,
     ("ss", "st_p"), ("ss", "st_q"), ("ss", "st_t"), BARRIER,
     ("s", "find"), ("s", "ld_q"), ("s", "ld_t"), ("g", "query"), ("g", "probe"), ("ga", "acc"),
-    var=BARRIER,
+    var=[BARRIER] * 3,
 )
 (EU, EV, RPU1, RPV, RPV1,
  SC, SC_TOT, SYNC_A, SC_TOT_R, SC_WS, SYNC_B, SC_WR, SC2, SC_WB, SC_TT, SYNC_C, SC_BR, SC_TR,

@@ -44,8 +44,8 @@ KEYS = (
 (VID, RPU, RPU1, HCLR, SYNC1, BUILD, HLEN, HSTORE, HSPILL, SYNC2,
  HOP1, RPW, RPW1, WMETA, HOP2, PLEN, PROBE_S, PROBE_G,
  B_HOP1, B_RPW, B_RPW1, B_HOP2, B_PLEN, B_PROBE_S, B_PROBE_G, ACC) = range(len(KEYS))
-WARP_SITES = Sites(_trust_thread, *KEYS, var=WSYNC, skip=range(B_HOP1, ACC))
-BLOCK_SITES = Sites(_trust_thread, *KEYS, var=BARRIER, skip=range(HOP1, B_HOP1))
+WARP_SITES = Sites(_trust_thread, *KEYS, var=[WSYNC, WSYNC], skip=range(B_HOP1, ACC))
+BLOCK_SITES = Sites(_trust_thread, *KEYS, var=[BARRIER, BARRIER], skip=range(HOP1, B_HOP1))
 
 
 def _either(cond, yes: int, no: int) -> np.ndarray:

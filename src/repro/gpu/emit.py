@@ -88,7 +88,7 @@ from .trace import (
 
 __all__ = [
     "BARRIER", "DELEGATE", "VARIABLE", "WSYNC", "Delegate", "EdgeLanes", "Lanes", "Sites",
-    "Workspace", "emitter", "runs", "sectors", "yield_sites",
+    "Workspace", "emitter", "issues_first", "runs", "sectors", "yield_sites",
 ]
 
 #: A ``__syncwarp()`` yield.
@@ -126,6 +126,18 @@ _PHASE_SHIFT = 17
 _SYNC_ROW = 1 << 16
 
 
+def issues_first(count_a: int, low_a: int, count_b: int, low_b: int) -> bool:
+    """Whether, of two sites of one warp with runnable lanes, the one
+    holding ``count_a`` lanes from lowest lane ``low_a`` issues before the
+    one holding ``count_b`` from ``low_b``: more lanes win, and a tie goes
+    to the lower lowest lane.  ``low`` may be any key that orders lanes as
+    their index does, such as the lane's bit.  :meth:`Lanes.select`
+    applies this rule to every site of every warp at once; a kernel that
+    plays runs against each other itself calls it.
+    """
+    return count_a > count_b or (count_a == count_b and low_a < low_b)
+
+
 def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
     """Every yield of ``code`` in bytecode order, as ``(key, (file, line))``
     with the file named by :func:`~repro.obs.attribution.package_path`.
@@ -135,13 +147,21 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
     tuple constant such as ``("w",)``, or :data:`VARIABLE` for a yielded
     variable, or :data:`DELEGATE` for a ``yield from``.  The line is the
     one a generator suspended at that yield reports as ``f_lineno``.
+
+    A ``yield from`` is a ``SEND`` then ``YIELD_VALUE`` from Python 3.11
+    on, and ``LOAD_CONST None`` then ``YIELD_FROM`` on 3.10, where a
+    suspended delegation's frame points at the ``LOAD_CONST``.  3.10
+    also loads a nested function's qualname as a string constant.
     """
     out = []
     strs: list[str] = []
     prev = None
     for ins in dis.get_instructions(code):
-        if ins.opname == "YIELD_VALUE":
-            if prev.opname == "LOAD_CONST" and isinstance(prev.argval, tuple):
+        if ins.opname in ("YIELD_VALUE", "YIELD_FROM"):
+            at = ins.offset
+            if ins.opname == "YIELD_FROM":
+                key, at = DELEGATE, prev.offset
+            elif prev.opname == "LOAD_CONST" and isinstance(prev.argval, tuple):
                 key = prev.argval[:2]
             elif prev.opname == "BUILD_TUPLE":
                 key = tuple(strs[:2])
@@ -149,11 +169,13 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
                 key = DELEGATE
             else:
                 key = VARIABLE
-            line = next(n for a, b, n in code.co_lines() if a <= ins.offset < b)
+            line = next(n for a, b, n in code.co_lines() if a <= at < b)
             out.append((key, (package_path(code.co_filename), line)))
             strs = []
         elif ins.opname == "LOAD_CONST" and isinstance(ins.argval, str):
             strs.append(ins.argval)
+        elif ins.opname == "MAKE_FUNCTION" and prev.opname == "LOAD_CONST" and strs:
+            strs.pop()  # a nested def's qualname, loaded as a constant on 3.10
         if ins.opname != "CACHE":
             prev = ins
     return out
@@ -203,9 +225,9 @@ class Sites:
     yield has the same key but its own line.  ``keys`` are the keys
     :func:`yield_sites` reads, with a :class:`Delegate` in place of each
     ``yield from`` (its sites take its place).  ``var`` resolves the
-    :data:`VARIABLE` yields for a launch: one key for all of them (such
-    as :data:`WSYNC` or :data:`BARRIER`), or a list with one key per
-    variable yield in order, and ``skip`` names sites a launch never
+    :data:`VARIABLE` yields for a launch: a list with one key per
+    variable yield in order (such as :data:`WSYNC` or :data:`BARRIER`
+    for a ``yield sync``), and ``skip`` names sites a launch never
     reaches, such as another branch's copy of a site.  Two reached sites
     may not share a key: the scheduler groups lanes by key.  The declared
     keys are checked against the kernel's bytecode when the lines are
@@ -216,12 +238,12 @@ class Sites:
     the barrier rows a block emits when it passes a ``("y",)``.
     """
 
-    def __init__(self, program, *keys, var: tuple | list | None = None, skip=()):
+    def __init__(self, program, *keys, var: list | None = None, skip=()):
         self.program = program
         self.declared = keys
         keys = _flatten(keys)
         variable = [i for i, k in enumerate(keys) if k == VARIABLE]
-        resolved = var if isinstance(var, list) else [var] * len(variable)
+        resolved = [None] * len(variable) if var is None else var
         if len(resolved) != len(variable):
             raise RuntimeError(f"{program.__qualname__}: one key per variable yield")
         for i, k in zip(variable, resolved):
@@ -667,7 +689,8 @@ class Lanes:
         A site's level decides: retired lanes -2, lanes at a ``("y",)``
         -1, at a ``("w",)`` 0, at a cross-lane exchange their count, and
         at any other site their count plus a warp.  The level scales past
-        every tie-break term.
+        a tie-break term that ranks the site's lowest lane, so two sites
+        of one kind compete by :func:`issues_first`.
         """
         S = self.SITES
         ws = self.warp_size

@@ -14,7 +14,8 @@ import pytest
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100
 from repro.gpu.emit import (
-    BARRIER, DELEGATE, VARIABLE, WSYNC, Delegate, Lanes, Sites, emitter, sectors, yield_sites,
+    BARRIER, DELEGATE, VARIABLE, WSYNC, Delegate, Lanes, Sites, emitter, issues_first, sectors,
+    yield_sites,
 )
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.trace import (
@@ -140,6 +141,43 @@ def test_a_tie_goes_to_the_site_of_the_lowest_lane():
     lines = [trace.locations[i][1] for i in rows.loc.tolist()]
     assert lines == [TieLanes.SITES.lines[s][1] for s in (1, 2, 0, 2)]
     assert rows.nlanes.tolist() == [16, 16, 16, 16]
+
+
+def _split_thread(ctx, data, at_a):
+    if at_a[ctx.lane]:
+        yield ("g", "a", data, ctx.lane)
+    else:
+        yield ("g", "b", data, ctx.lane)
+
+
+class SplitLanes(Lanes):
+    SITES = Sites(_split_thread, ("g", "a"), ("g", "b"))
+
+    def start(self):
+        return np.where(np.asarray(self.args[1])[self.lane], 0, 1)
+
+    def issue(self, site, sub):
+        self.site[sub] = self.SITES.done
+        return sectors(self.args[0], self.lane[sub])
+
+
+@pytest.mark.parametrize("at_a", [
+    range(20), range(12, 32), range(1, 32, 2), range(0, 32, 2), range(1, 12), [5, 31],
+])
+def test_two_competing_sites_follow_issues_first(at_a):
+    """Which of two sites issues first, recorded by generators, is the
+    rule :func:`issues_first` states and Bisson's probe plays by hand."""
+    lanes = np.zeros(32, dtype=bool)
+    lanes[list(at_a)] = True
+    data = GlobalMemory(SIM_V100).alloc("data", np.arange(32, dtype=np.int64))
+    trace = record_both(_split_thread, SplitLanes, (data, tuple(lanes.tolist())))
+    rows = first_block(trace)
+    a, b = np.flatnonzero(lanes), np.flatnonzero(~lanes)
+    a_first = issues_first(a.size, a[0], b.size, b[0])
+    assert issues_first(b.size, b[0], a.size, a[0]) is not a_first
+    first = SplitLanes.SITES.lines[0 if a_first else 1]
+    assert trace.locations[rows.loc[0]] == first
+    assert rows.nlanes.tolist() == ([a.size, b.size] if a_first else [b.size, a.size])
 
 
 def test_a_straight_run_waits_for_lanes_at_its_later_sites():
@@ -358,7 +396,7 @@ class EitherSyncLanes(Lanes):
     KEYS = (("g", "a"), VARIABLE, ("g", "b"))
 
     def __init__(self, device, *, args, **launch):
-        self.SITES = Sites(_either_sync_thread, *self.KEYS, var=WSYNC if args[1] else BARRIER)
+        self.SITES = Sites(_either_sync_thread, *self.KEYS, var=[WSYNC if args[1] else BARRIER])
         super().__init__(device, args=args, **launch)
 
     def start(self):
@@ -634,6 +672,39 @@ class DelegatingLanes(Lanes):
         idx = self.lane[sub] if site == 0 else self.x[sub]
         self.x[sub] = data.data[idx]
         return sectors(data, idx)
+
+
+def _nested_def_thread(data):
+    x = yield ("g", "a", data, 0)
+
+    def pick(i):
+        return ("g", "pick", data, i)
+
+    x = yield ("g", "b", data, x)
+    y = yield from _helper(
+        x, data
+    )
+    yield pick(y)
+    yield ("gs", "c", data, 1, y)
+
+
+def test_yield_sites_match_the_lines_a_suspended_generator_reports():
+    """Python 3.10 compiles ``yield from`` without a ``SEND`` and loads a
+    nested def's qualname as a string constant: neither may hide the
+    delegate or leak into the next yield's key, and every site's line is
+    the kernel frame's ``f_lineno`` while it is parked there."""
+    sites = yield_sites(_nested_def_thread.__code__)
+    assert [k for k, _ in sites] == [("g", "a"), ("g", "b"), DELEGATE, VARIABLE, ("gs", "c")]
+    gen, parked = _nested_def_thread(None), []
+    try:
+        next(gen)
+        while True:
+            if not parked or parked[-1] != gen.gi_frame.f_lineno:
+                parked.append(gen.gi_frame.f_lineno)
+            gen.send(0)
+    except StopIteration:
+        pass
+    assert [line for _, (_, line) in sites] == parked
 
 
 def test_a_delegate_attributes_to_the_helpers_lines():
