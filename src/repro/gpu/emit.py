@@ -174,7 +174,7 @@ def yield_sites(code) -> list[tuple[tuple, tuple[str, int]]]:
             strs = []
         elif ins.opname == "LOAD_CONST" and isinstance(ins.argval, str):
             strs.append(ins.argval)
-        elif ins.opname == "MAKE_FUNCTION" and prev.opname == "LOAD_CONST" and strs:
+        elif ins.opname == "MAKE_FUNCTION" and isinstance(prev.argval, str):
             strs.pop()  # a nested def's qualname, loaded as a constant on 3.10
         if ins.opname != "CACHE":
             prev = ins
