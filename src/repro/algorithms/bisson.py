@@ -27,7 +27,7 @@ Simulator notes
 from __future__ import annotations
 
 from ..gpu.device import DeviceSpec
-from ..gpu.kernel import launch_kernel
+from ..gpu.kernel import KernelConfigError, launch_kernel
 from ..gpu.memory import DeviceArray, GlobalMemory
 from ..gpu.metrics import ProfileMetrics
 from ..graph.csr import CSRGraph
@@ -184,12 +184,19 @@ class Bisson(TCAlgorithm):
         max_blocks_simulated: int | None = None,
     ) -> DeviceArray:
         full = self._full_adjacency(csr)
-        bufs = CSRBuffers.upload(full, gm)
         n = full.n
-        vwords = max(1, -(-n // _WORD_BITS))
         block_dim = self.config.get("block_dim", self.block_dim)
         avg_deg = full.m / n if n else 0.0
         mode = self.config.get("mode") or self.mode_for(avg_deg)
+        if mode != "block" and block_dim % 32:
+            # The last block_dim % 32 lanes would form a partial warp whose
+            # vertex is also the next block's first: counted twice.
+            raise KernelConfigError(
+                f"Bisson {mode} mode needs whole 32-lane warps per block, "
+                f"not block_dim={block_dim}"
+            )
+        bufs = CSRBuffers.upload(full, gm)
+        vwords = max(1, -(-n // _WORD_BITS))
         group = block_dim if mode == "block" else 32
         subs_per_block = block_dim // group
         grid = max(1, -(-n // subs_per_block))

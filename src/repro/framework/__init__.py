@@ -4,11 +4,13 @@
   including paper-scale capacity checks (red-cross failures).
 * :mod:`~repro.framework.compare` — the full comparison matrix.
 * :mod:`~repro.framework.parallel` — process-pool fan-out for the matrix.
-* :mod:`~repro.framework.resilience` — checkpoint/resume journal, cell
-  timeouts with degrading retries, validation & quarantine, chaos harness.
+* :mod:`~repro.framework.resilience` — checkpoint/resume journal, killable
+  cell attempts and their retry policy, validation & quarantine, chaos
+  harness.
 * :mod:`~repro.framework.scheduler` — priority job queue with deadlines,
-  precision shedding, and worker supervision (shared by ``run_matrix``
-  and the ``repro serve`` daemon).
+  precision shedding, and the one supervision loop that retries timeouts
+  and worker deaths (shared by ``run_matrix`` and the ``repro serve``
+  daemon).
 * :mod:`~repro.framework.report` — Tables I/II and the figure series.
 * :mod:`~repro.framework.sweep` — configuration sweeps / ablations.
 """
@@ -31,7 +33,6 @@ from .resilience import (
     chaos_from_env,
     new_run_id,
     parse_chaos,
-    run_cell_resilient,
     run_cells_resilient,
     seeded_jitter,
     validate_record,
@@ -40,7 +41,6 @@ from .scheduler import (
     CellJob,
     JobHandle,
     JobScheduler,
-    SupervisionPolicy,
     shed_blocks,
 )
 from .report import (
@@ -74,7 +74,6 @@ __all__ = [
     "RunJournal",
     "RunRecord",
     "ScaleoutPoint",
-    "SupervisionPolicy",
     "SweepPoint",
     "best_config",
     "chaos_from_env",
@@ -92,7 +91,6 @@ __all__ = [
     "render_speedups",
     "render_table1",
     "render_table2",
-    "run_cell_resilient",
     "run_cells",
     "run_cells_resilient",
     "run_cluster",

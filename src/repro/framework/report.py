@@ -167,7 +167,7 @@ def render_work_efficiency(matrix: ComparisonMatrix) -> str:
     ratio to the instance-optimal intersection lower bound (the ``LB``
     row).  The counts are analytical replays of each kernel's control
     flow (:mod:`repro.analysis.work`), so they are exact, deterministic,
-    and independent of device, engine, and replay batching.  Hash and
+    and independent of device and engine.  Hash and
     bitmap algorithms are not comparison-based: their ratio may drop
     below 1.
     """

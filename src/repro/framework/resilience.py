@@ -12,11 +12,12 @@ run survivable and trustworthy end to end:
   appended atomically to a JSONL journal under ``.cache/runs/<run_id>/``;
   ``run_matrix(resume=run_id)`` skips completed cells and replays only
   missing or failed ones, so a run killed mid-flight loses nothing;
-* **per-cell wall-clock timeouts with degrading retries** — each cell runs
-  in its own subprocess; one that exceeds its budget is killed and retried
-  with exponential backoff at a halved ``max_blocks_simulated``, bottoming
-  out at a ``status="degraded"`` record that carries the reduced fidelity
-  in ``extra`` instead of passing a sampled run off as a full one;
+* **per-cell wall-clock timeouts with degrading retries** — each attempt
+  runs in its own killable subprocess (:func:`_attempt_cell`), and the
+  scheduler's one supervision loop retries an attempt that exceeds its
+  budget with exponential backoff at a halved ``max_blocks_simulated``,
+  bottoming out at a ``status="degraded"`` record that carries the reduced
+  fidelity in ``extra`` instead of passing a sampled run off as a full one;
 * **validation & quarantine** — small/medium cells are cross-checked
   against :mod:`repro.algorithms.cpu_reference`; a mismatching cell is
   quarantined as ``status="invalid"`` and never reaches ``winners()`` or
@@ -77,16 +78,14 @@ __all__ = [
     "prepare_fork",
     "record_from_dict",
     "record_to_dict",
-    "run_cell_resilient",
     "run_cells_resilient",
     "runs_root",
     "seeded_jitter",
     "set_chaos_kill_budget",
-    "is_worker_death",
     "validate_record",
+    "WorkerDied",
     "DEFAULT_VALIDATE_MAX_EDGES",
     "SERVE_CHAOS_MODES",
-    "WORKER_DEATH_MARKERS",
 ]
 
 # --------------------------------------------------------------------------
@@ -656,12 +655,16 @@ class RunJournal:
 
 
 # --------------------------------------------------------------------------
-# timeouts + degrading retries
+# timeouts, worker deaths and the policy that retries both
 # --------------------------------------------------------------------------
 
 
 class CellTimeout(Exception):
     """A cell attempt exceeded its wall-clock budget and was killed."""
+
+
+class WorkerDied(RuntimeError):
+    """A cell attempt's worker process exited without reporting a record."""
 
 
 def seeded_jitter(seed: int, key: str, attempt: int) -> float:
@@ -678,15 +681,20 @@ def seeded_jitter(seed: int, key: str, attempt: int) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Wall-clock and retry budget for one matrix cell.
+    """Wall-clock, retry and restart budget for one matrix cell.
 
-    Every timeout kills the attempt's subprocess, sleeps an exponential
-    backoff, and retries at ``degrade_factor`` of the previous block
-    budget (an unlimited ``None`` budget degrades to
-    :data:`~repro.framework.runner.DEFAULT_MAX_BLOCKS` first), never below
-    ``min_blocks``.  A success at reduced fidelity is recorded as
-    ``status="degraded"``; exhausting ``max_attempts`` yields
-    ``status="failed"`` with a timeout error.
+    :meth:`repro.framework.scheduler.JobScheduler._execute_supervised`
+    applies it to each attempt's outcome.  Every timeout kills the
+    attempt's subprocess, sleeps an exponential backoff, and retries at
+    ``degrade_factor`` of the previous block budget (an unlimited ``None``
+    budget degrades to :data:`~repro.framework.runner.DEFAULT_MAX_BLOCKS`
+    first), never below ``min_blocks``.  A success at reduced fidelity is
+    recorded as ``status="degraded"``; exhausting ``max_attempts`` yields
+    ``status="failed"`` with a timeout error.  A worker that dies without
+    reporting is restarted at the same block budget after the same
+    backoff; the ``max_worker_deaths``-th death opens the job's circuit
+    (``status="failed"``, ``extra["circuit_open"]``).  Timeouts and deaths
+    draw on separate budgets.
 
     Backoffs are *jittered*: a deterministic schedule makes every cell that
     timed out in the same scheduling wave retry in the same instant, which
@@ -699,6 +707,7 @@ class RetryPolicy:
 
     cell_timeout_s: float | None = None
     max_attempts: int = 4
+    max_worker_deaths: int = 3
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     degrade_factor: float = 0.5
@@ -709,6 +718,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.max_worker_deaths < 1:
+            raise ValueError("max_worker_deaths must be >= 1")
         if not 0.0 < self.degrade_factor < 1.0:
             raise ValueError("degrade_factor must be in (0, 1)")
         if not 0.0 <= self.jitter < 1.0:
@@ -721,29 +732,17 @@ class RetryPolicy:
         return max(self.min_blocks, int(blocks * self.degrade_factor))
 
     def backoff_s(self, attempt: int, key: str = "") -> float:
-        """Sleep before retry number ``attempt + 1`` (0-based).
+        """Sleep after the ``attempt + 1``-th timeout, or after the
+        ``attempt + 1``-th worker death (``attempt`` is 0-based).
 
-        ``key`` identifies the retrying entity (the resilient executor
-        passes ``"ALG/DS"``) so simultaneous retries of different cells
+        ``key`` identifies the retrying entity (the scheduler passes
+        ``"ALG/DS"``) so simultaneous retries of different cells
         decorrelate while repeat runs of the same cell reproduce exactly.
         """
         base = self.backoff_base_s * self.backoff_factor**attempt
         if not self.jitter:
             return base
         return base * (1.0 + self.jitter * seeded_jitter(self.jitter_seed, key, attempt))
-
-
-#: Error-text markers of a worker process that died without reporting —
-#: produced by :func:`_attempt_cell`; the scheduler's supervision layer
-#: keys its restart/circuit-break decisions on these.
-WORKER_DEATH_MARKERS = ("worker process died", "worker pipe closed")
-
-
-def is_worker_death(record: RunRecord) -> bool:
-    """True when a failed record describes a dead worker, not a cell error."""
-    return record.status == "failed" and any(
-        marker in (record.error or "") for marker in WORKER_DEATH_MARKERS
-    )
 
 
 def prepare_fork() -> None:
@@ -812,8 +811,8 @@ def _attempt_cell(
 
     Returns the worker's record, its telemetry already folded into this
     process; a worker that dies without reporting (hard exit, segfault)
-    yields a ``failed`` record, and one that outlives ``timeout_s`` is
-    killed and surfaces as :class:`CellTimeout`.
+    raises :class:`WorkerDied`, and one that outlives ``timeout_s`` is
+    killed and raises :class:`CellTimeout`.
     """
     ctx = _mp_context()
     recv, send = ctx.Pipe(duplex=False)
@@ -839,18 +838,12 @@ def _attempt_cell(
                 if record is not None:
                     absorb_forwarded(events, metrics_delta)
                     return record
-                return _failed_record(
-                    algorithm, dataset, device,
-                    RuntimeError(f"worker pipe closed unexpectedly (exit code {proc.exitcode})"),
-                )
+                raise WorkerDied(f"worker pipe closed unexpectedly (exit code {proc.exitcode})")
             if not proc.is_alive():
                 if recv.poll(0):  # result raced with process exit
                     continue
                 proc.join()
-                return _failed_record(
-                    algorithm, dataset, device,
-                    RuntimeError(f"worker process died with exit code {proc.exitcode}"),
-                )
+                raise WorkerDied(f"worker process died with exit code {proc.exitcode}")
             if deadline is not None and time.monotonic() >= deadline:
                 _kill(proc)
                 raise CellTimeout(
@@ -859,107 +852,6 @@ def _attempt_cell(
                 )
     finally:
         recv.close()
-
-
-def run_cell_resilient(
-    algorithm,
-    dataset: str,
-    *,
-    policy: RetryPolicy | None = None,
-    device: DeviceSpec = SIM_V100,
-    capacity_device: DeviceSpec = TESLA_V100,
-    ordering: str = "degree",
-    max_blocks_simulated: int | None = DEFAULT_MAX_BLOCKS,
-    cost_model: CostModel | None = None,
-    validate: bool = True,
-) -> RunRecord:
-    """Run one cell under the timeout + degrading-retry policy.
-
-    Never raises: timeouts exhaust into a ``failed`` record, and a success
-    after degradation is reported as ``status="degraded"`` with the
-    original and final block budgets in ``extra["degradation"]``.
-    """
-    policy = policy or RetryPolicy()
-    initial = max_blocks_simulated
-    blocks = initial
-    timeouts = 0
-    last_timeout: CellTimeout | None = None
-    for attempt in range(policy.max_attempts):
-        try:
-            record = _attempt_cell(
-                algorithm,
-                dataset,
-                device=device,
-                capacity_device=capacity_device,
-                ordering=ordering,
-                blocks=blocks,
-                cost_model=cost_model,
-                validate=validate,
-                timeout_s=policy.cell_timeout_s,
-            )
-        except CellTimeout as exc:
-            timeouts += 1
-            last_timeout = exc
-            get_tracer().warning(
-                "cell_timeout",
-                algorithm=_algorithm_name(algorithm),
-                dataset=dataset,
-                attempt=attempt + 1,
-                blocks=blocks,
-                timeout_s=policy.cell_timeout_s,
-            )
-            if attempt + 1 >= policy.max_attempts:
-                break
-            time.sleep(policy.backoff_s(attempt, key=f"{_algorithm_name(algorithm)}/{dataset}"))
-            blocks = policy.next_blocks(blocks)
-            continue
-        if timeouts and record.status == "ok" and blocks != initial:
-            get_tracer().warning(
-                "cell_degraded",
-                algorithm=_algorithm_name(algorithm),
-                dataset=dataset,
-                initial_blocks=initial,
-                final_blocks=blocks,
-                timeouts=timeouts,
-            )
-            record = dataclasses.replace(
-                record,
-                status="degraded",
-                extra={
-                    **record.extra,
-                    "degradation": {
-                        "initial_blocks": initial,
-                        "final_blocks": blocks,
-                        "attempts": attempt + 1,
-                        "timeouts": timeouts,
-                        "cell_timeout_s": policy.cell_timeout_s,
-                    },
-                },
-            )
-        return record
-    get_tracer().error(
-        "cell_exhausted",
-        algorithm=_algorithm_name(algorithm),
-        dataset=dataset,
-        attempts=policy.max_attempts,
-        timeouts=timeouts,
-        final_blocks=blocks,
-    )
-    record = _failed_record(
-        algorithm, dataset, device,
-        last_timeout or CellTimeout("cell timed out"),
-    )
-    return dataclasses.replace(
-        record,
-        error=f"timed out on all {policy.max_attempts} attempts: {last_timeout}",
-        extra={
-            **record.extra,
-            "attempts": policy.max_attempts,
-            "timeouts": timeouts,
-            "final_blocks": blocks,
-            "cell_timeout_s": policy.cell_timeout_s,
-        },
-    )
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class RunRecord:
     #: machine-independent work dimension (repro.analysis.work): element
     #: comparisons the algorithm performs on this replica, and their ratio
     #: to the instance-optimal intersection lower bound.  Pure functions of
-    #: the graph — identical across devices, engines, and replay batching.
+    #: the graph — identical across devices and engines.
     comparisons: float | None = None
     work_ratio: float | None = None
     error: str | None = None

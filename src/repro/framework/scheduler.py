@@ -14,22 +14,27 @@ daemon:
 
 * **priority queue** — higher ``priority`` runs first; ties run FIFO in
   submission order, so a batch submit degenerates to the legacy ordering;
-* **deadlines** — a job's wall-clock deadline propagates into the cell
-  timeout of the executor underneath (the attempt subprocess is killed
-  when the deadline passes, not merely noticed late), and a job that is
-  already past its deadline when popped terminals immediately as
-  ``failed`` with a ``DeadlineExpired`` error instead of wasting a worker;
+* **deadlines** — a job's wall-clock deadline clamps every attempt's
+  timeout (the attempt subprocess is killed when the deadline passes, not
+  merely noticed late), and a job that is already past its deadline when
+  popped, or before a retry, terminals immediately as ``failed`` with a
+  ``DeadlineExpired`` error instead of wasting a worker;
 * **graceful degradation** — a job admitted at ``shed_level > 0`` runs at
   ``max_blocks >> shed_level`` (the same halving ladder the timeout
   degradation uses), trading sampled-grid precision for queue drain
   before any job has to be rejected outright;
-* **worker supervision** — each execution happens in a killable
-  subprocess via :func:`~repro.framework.resilience.run_cell_resilient`;
-  a worker that dies without reporting (segfault-style ``os._exit``, the
-  ``worker_kill_midjob`` chaos mode) is restarted under exponential
-  backoff with seeded jitter, and after ``max_worker_deaths`` deaths the
-  job is *circuit-broken*: terminal ``failed`` with
-  ``extra["circuit_open"]`` so a poisoned input can't eat the pool.
+* **one supervision loop** — :meth:`JobScheduler._execute_supervised`
+  runs each attempt in a killable subprocess
+  (:func:`~repro.framework.resilience._attempt_cell`) and retries it under
+  one :class:`~repro.framework.resilience.RetryPolicy`: a timeout
+  (:class:`~repro.framework.resilience.CellTimeout`) degrades the block
+  budget and backs off; a worker that dies without reporting
+  (segfault-style ``os._exit``, the ``worker_kill_midjob`` chaos mode,
+  :class:`~repro.framework.resilience.WorkerDied`) is restarted at the
+  same budget under the same jittered backoff, and after
+  ``max_worker_deaths`` deaths the job is *circuit-broken*: terminal
+  ``failed`` with ``extra["circuit_open"]`` so a poisoned input can't eat
+  the pool.  Timeouts and deaths keep separate budgets.
 
 Every terminal outcome is a plain :class:`~repro.framework.runner.
 RunRecord`; the scheduler never raises for a job failure.
@@ -52,12 +57,13 @@ from ..obs.flightrec import maybe_dump
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from .resilience import (
+    CellTimeout,
     RetryPolicy,
+    WorkerDied,
     _algorithm_name,
+    _attempt_cell,
     _failed_record,
-    is_worker_death,
-    run_cell_resilient,
-    seeded_jitter,
+    _safe_size_class,
 )
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord
 
@@ -66,7 +72,6 @@ __all__ = [
     "DeadlineExpired",
     "JobHandle",
     "JobScheduler",
-    "SupervisionPolicy",
     "new_job_id",
     "shed_blocks",
 ]
@@ -91,36 +96,6 @@ def shed_blocks(blocks: int | None, shed_level: int, *, min_blocks: int = 1) -> 
         return blocks
     base = DEFAULT_MAX_BLOCKS if blocks is None else blocks
     return max(min_blocks, base >> shed_level)
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """Restart/circuit-break budget for worker deaths on one job.
-
-    Worker deaths are distinct from timeouts (which
-    :class:`~repro.framework.resilience.RetryPolicy` handles inside the
-    executor): a death is a worker that vanished without reporting, and
-    the cure is a fresh worker, not a smaller problem.  Restarts back off
-    exponentially with the same seeded jitter the retry path uses; after
-    ``max_worker_deaths`` deaths the job is circuit-broken.
-    """
-
-    max_worker_deaths: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_worker_deaths < 1:
-            raise ValueError("max_worker_deaths must be >= 1")
-
-    def restart_backoff_s(self, deaths: int, key: str = "") -> float:
-        """Sleep before restarting after the ``deaths``-th worker death."""
-        base = self.backoff_base_s * self.backoff_factor ** (deaths - 1)
-        if not self.jitter:
-            return base
-        return base * (1.0 + self.jitter * seeded_jitter(self.jitter_seed, key, deaths))
 
 
 @dataclass
@@ -198,7 +173,6 @@ class JobScheduler:
         *,
         workers: int = 1,
         policy: RetryPolicy | None = None,
-        supervision: SupervisionPolicy | None = None,
         device: DeviceSpec = SIM_V100,
         capacity_device: DeviceSpec = TESLA_V100,
         ordering: str = "degree",
@@ -210,7 +184,6 @@ class JobScheduler:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.policy = policy or RetryPolicy()
-        self.supervision = supervision or SupervisionPolicy()
         self.defaults = dict(
             device=device,
             capacity_device=capacity_device,
@@ -344,86 +317,128 @@ class JobScheduler:
         registry.gauge("sched_queue_depth", self.queue_depth())
         return self._execute_supervised(handle)
 
-    def _terminal_failed(self, job: CellJob, error: str) -> RunRecord:
-        record = _failed_record(
-            job.algorithm, job.dataset, self.defaults["device"], RuntimeError("x")
+    def _terminal_failed(self, job: CellJob, error: str, **extra) -> RunRecord:
+        return RunRecord(
+            algorithm=_algorithm_name(job.algorithm),
+            dataset=job.dataset,
+            device=self.defaults["device"].name,
+            status="failed",
+            error=error,
+            size_class=_safe_size_class(job.dataset),
+            extra=extra,
         )
-        return dataclasses.replace(record, error=error)
-
-    def _job_policy(self, job: CellJob) -> RetryPolicy | None:
-        """Retry policy with the cell timeout clamped to the job deadline."""
-        remaining = job.remaining_s()
-        if remaining is None:
-            return self.policy
-        if remaining <= 0:
-            return None  # caller treats as expired
-        timeout = self.policy.cell_timeout_s
-        timeout = remaining if timeout is None else min(timeout, remaining)
-        return dataclasses.replace(self.policy, cell_timeout_s=timeout)
 
     def _execute_supervised(self, handle: JobHandle) -> RunRecord:
-        """Run one job to a terminal record under worker supervision."""
+        """Run one job to a terminal record; the only loop that retries an
+        attempt.
+
+        Each attempt is one :func:`~repro.framework.resilience._attempt_cell`
+        under ``cell_timeout_s`` clamped to the job's remaining deadline,
+        and its outcome decides the next step: a record is terminal
+        (``degraded`` when a timeout cut its block budget); a
+        :class:`CellTimeout` halves the budget and backs off until
+        ``max_attempts`` timeouts exhaust the job; a :class:`WorkerDied`
+        restarts at the same budget and backs off until
+        ``max_worker_deaths`` deaths open the circuit.
+        """
         job = handle.job
         over = job.overrides
-        blocks = shed_blocks(
+        policy = self.policy
+        initial = shed_blocks(
             over.get("blocks", self.defaults["max_blocks_simulated"]),
             job.shed_level,
-            min_blocks=self.policy.min_blocks,
+            min_blocks=policy.min_blocks,
         )
-        key = f"{_algorithm_name(job.algorithm)}/{job.dataset}"
         cluster = over.get("cluster")
         if cluster:
-            return self._execute_cluster(job, cluster, blocks)
-        deaths = 0
+            return self._execute_cluster(job, cluster, initial)
+        algorithm = _algorithm_name(job.algorithm)
+        key = f"{algorithm}/{job.dataset}"
+        blocks = initial
+        timeouts = deaths = 0
         while True:
-            policy = self._job_policy(job)
-            if policy is None:
-                return self._terminal_failed(
-                    job, "DeadlineExpired: deadline passed before attempt",
-                )
-            record = run_cell_resilient(
-                job.algorithm,
-                job.dataset,
-                policy=policy,
-                device=self.defaults["device"],
-                capacity_device=self.defaults["capacity_device"],
-                ordering=over.get("ordering", self.defaults["ordering"]),
-                max_blocks_simulated=blocks,
-                cost_model=self.defaults["cost_model"],
-                validate=over.get("validate", self.defaults["validate"]),
-            )
-            if not is_worker_death(record):
-                if job.shed_level > 0:
-                    record = dataclasses.replace(
-                        record,
-                        extra={**record.extra, "shed_level": job.shed_level,
-                               "shed_blocks": blocks},
+            timeout_s = policy.cell_timeout_s
+            remaining = job.remaining_s()
+            if remaining is not None:
+                if remaining <= 0:
+                    return self._terminal_failed(
+                        job, "DeadlineExpired: deadline passed before attempt",
                     )
-                return record
-            deaths += 1
-            get_tracer().warning(
-                "job_worker_death",
-                job=job.job_id, algorithm=_algorithm_name(job.algorithm),
-                dataset=job.dataset, deaths=deaths,
-            )
-            get_metrics().inc("sched_worker_deaths")
-            maybe_dump(
-                "worker_death",
-                error=f"job {job.job_id} ({_algorithm_name(job.algorithm)}/"
-                      f"{job.dataset}) worker died ({deaths} deaths)",
-            )
-            if deaths >= self.supervision.max_worker_deaths:
-                self._emit("job_circuit_open", job, {"worker_deaths": deaths})
-                get_metrics().inc("sched_circuit_opens")
-                return dataclasses.replace(
-                    record,
-                    error=(
-                        f"circuit open after {deaths} worker deaths: {record.error}"
-                    ),
-                    extra={**record.extra, "circuit_open": True, "worker_deaths": deaths},
+                timeout_s = remaining if timeout_s is None else min(timeout_s, remaining)
+            try:
+                record = _attempt_cell(
+                    job.algorithm,
+                    job.dataset,
+                    device=self.defaults["device"],
+                    capacity_device=self.defaults["capacity_device"],
+                    ordering=over.get("ordering", self.defaults["ordering"]),
+                    blocks=blocks,
+                    cost_model=self.defaults["cost_model"],
+                    validate=over.get("validate", self.defaults["validate"]),
+                    timeout_s=timeout_s,
                 )
-            self._emit("job_worker_restart", job, {"deaths": deaths})
-            time.sleep(self.supervision.restart_backoff_s(deaths, key=key))
+                break
+            except CellTimeout as exc:
+                timeouts += 1
+                get_tracer().warning(
+                    "cell_timeout", algorithm=algorithm, dataset=job.dataset,
+                    attempt=timeouts + deaths, blocks=blocks, timeout_s=timeout_s,
+                )
+                if timeouts >= policy.max_attempts:
+                    get_tracer().error(
+                        "cell_exhausted", algorithm=algorithm, dataset=job.dataset,
+                        attempts=policy.max_attempts, timeouts=timeouts, final_blocks=blocks,
+                    )
+                    record = self._terminal_failed(
+                        job, f"timed out on all {timeouts} attempts: {exc}",
+                        attempts=timeouts + deaths, timeouts=timeouts,
+                        final_blocks=blocks, cell_timeout_s=timeout_s,
+                    )
+                    break
+                time.sleep(policy.backoff_s(timeouts - 1, key=key))
+                blocks = policy.next_blocks(blocks)
+            except WorkerDied as exc:
+                deaths += 1
+                get_tracer().warning(
+                    "job_worker_death", job=job.job_id, algorithm=algorithm,
+                    dataset=job.dataset, deaths=deaths,
+                )
+                get_metrics().inc("sched_worker_deaths")
+                maybe_dump(
+                    "worker_death",
+                    error=f"job {job.job_id} ({key}) worker died ({deaths} deaths)",
+                )
+                if deaths >= policy.max_worker_deaths:
+                    self._emit("job_circuit_open", job, {"worker_deaths": deaths})
+                    get_metrics().inc("sched_circuit_opens")
+                    return self._terminal_failed(
+                        # the error text a death has always left in journals
+                        job, f"circuit open after {deaths} worker deaths: RuntimeError: {exc}",
+                        circuit_open=True, worker_deaths=deaths,
+                    )
+                self._emit("job_worker_restart", job, {"deaths": deaths})
+                time.sleep(policy.backoff_s(deaths - 1, key=key))
+        if timeouts and record.status == "ok" and blocks != initial:
+            get_tracer().warning(
+                "cell_degraded", algorithm=algorithm, dataset=job.dataset,
+                initial_blocks=initial, final_blocks=blocks, timeouts=timeouts,
+            )
+            record = dataclasses.replace(record, status="degraded", extra={
+                **record.extra,
+                "degradation": {
+                    "initial_blocks": initial,
+                    "final_blocks": blocks,
+                    "attempts": timeouts + deaths + 1,
+                    "timeouts": timeouts,
+                    "cell_timeout_s": timeout_s,
+                },
+            })
+        if job.shed_level > 0:
+            record = dataclasses.replace(
+                record,
+                extra={**record.extra, "shed_level": job.shed_level, "shed_blocks": initial},
+            )
+        return record
 
     def _execute_cluster(self, job: CellJob, cluster: dict, blocks: int | None) -> RunRecord:
         """Fan one job out over simulated cluster devices.

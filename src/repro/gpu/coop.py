@@ -18,13 +18,24 @@ block).
 
 from __future__ import annotations
 
+from .kernel import KernelConfigError
+
 __all__ = ["group_inclusive_scan", "scan_tmp_words"]
 
 
 def scan_tmp_words(group: int) -> int:
-    """Shared words a ``group_inclusive_scan`` needs (0 for a single warp)."""
+    """Shared words a ``group_inclusive_scan`` needs (1 for a single warp).
+
+    Raises :class:`~repro.gpu.kernel.KernelConfigError` for a group above
+    one warp that is not whole warps: the scan combines ``group // 32``
+    warp partials, so a partial warp's values would be lost.
+    """
     if group <= 32:
         return 1
+    if group % 32:
+        raise KernelConfigError(
+            f"a {group}-thread scan group is not whole 32-lane warps"
+        )
     return 2 * (group // 32) + 1
 
 

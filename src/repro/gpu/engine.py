@@ -88,7 +88,6 @@ __all__ = [
     "record_launch",
     "register_emitter",
     "replay_launch",
-    "replay_launch_batch",
     "replay_line_profile",
     "simulate_vectorized",
     "stage_times",
@@ -947,51 +946,31 @@ def _launch_totals(trace: LaunchTrace, l1_cap: int, l2_cap: int) -> dict:
     return totals
 
 
-def replay_launch_batch(traces, device) -> list[ProfileMetrics]:
-    """Reduce several launch traces to per-launch metrics in fused passes.
+def replay_launch(trace: LaunchTrace, device) -> ProfileMetrics:
+    """Reduce a launch trace to the metrics of one simulated launch.
 
-    The batch may mix launches of different kernels, launch configurations,
-    and matrix cells: per-trace identity rides in the composite reduction
-    keys (see :func:`_base_reductions_many`), so grouping never merges
-    state across launches — each returned :class:`ProfileMetrics` is
-    bit-identical to a lone :func:`replay_launch` of that trace.  Callers
-    holding many warm traces (benchmarks, bulk verification, prewarm paths)
-    amortise the per-pass NumPy dispatch overhead across the whole batch.
+    A geometry whose totals are known is served from the totals memo
+    before anything touches ``unique``: a trace mapped from the store with
+    these totals in its header is never decoded.  Otherwise the launch's
+    unique blocks are reduced in fused passes (:func:`_base_reductions_many`,
+    :func:`_l1_walk_many`) before the L2 walk of :func:`_launch_totals`.
     """
     l1_cap, l2_cap = _device_caps(device)
     key = (l1_cap, l2_cap)
     t0 = perf_counter()
-    # Known geometries are served from the totals memo before anything
-    # touches ``unique``: a trace mapped from the store with these totals
-    # in its header is never decoded.
-    need = []
-    stored_hits = 0
-    for tr in traces:
-        if key in tr._totals:
-            stored_hits += key in tr._stored_totals
-        elif tr.unique:
-            need.append(tr)
-    if stored_hits:
-        get_metrics().inc("trace_totals_hits", stored_hits)
-    if need:
-        blocks = [t for tr in _dedupe_by_id(need) for t in tr.unique]
-        _base_reductions_many(blocks)
-        _l1_walk_many(blocks, l1_cap)
+    if key in trace._totals:
+        if key in trace._stored_totals:
+            get_metrics().inc("trace_totals_hits")
+    elif trace.unique:
+        _base_reductions_many(trace.unique)
+        _l1_walk_many(trace.unique, l1_cap)
         get_metrics().inc("engine_replay_s", perf_counter() - t0)
     t1 = perf_counter()
-    out = []
-    for tr in traces:
-        local = ProfileMetrics(warp_size=device.warp_size)
-        if key in tr._totals or tr.unique:
-            local.add_counters(_launch_totals(tr, l1_cap, l2_cap))
-        out.append(local)
+    local = ProfileMetrics(warp_size=device.warp_size)
+    if key in trace._totals or trace.unique:
+        local.add_counters(_launch_totals(trace, l1_cap, l2_cap))
     get_metrics().inc("engine_counter_aggregation_s", perf_counter() - t1)
-    return out
-
-
-def replay_launch(trace: LaunchTrace, device) -> ProfileMetrics:
-    """Reduce a launch trace to the metrics of one simulated launch."""
-    return replay_launch_batch([trace], device)[0]
+    return local
 
 
 def replay_line_profile(trace: LaunchTrace, warp_size: int) -> dict[tuple[str, int], list[int]]:

@@ -298,7 +298,7 @@ class LaunchTrace:
         self._block_nbytes = block_nbytes
         #: replay-totals memo keyed by device cache geometry ``(L1, L2)``
         #: capacities in sectors; a re-replay under a known geometry is a
-        #: dict lookup (see repro.gpu.engine.replay_launch_batch).
+        #: dict lookup (see repro.gpu.engine.replay_launch).
         self._totals: dict = dict(totals) if totals else {}
         #: the geometries whose totals came from the trace file
         self._stored_totals = frozenset(self._totals)

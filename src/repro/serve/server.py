@@ -52,7 +52,7 @@ from ..framework.resilience import (
     record_to_dict,
 )
 from ..framework.runner import DEFAULT_MAX_BLOCKS, RunRecord
-from ..framework.scheduler import CellJob, JobHandle, JobScheduler, SupervisionPolicy
+from ..framework.scheduler import CellJob, JobHandle, JobScheduler
 from ..graph.datasets import get_spec
 from ..obs.metrics import get_metrics
 from ..obs.tracer import TELEMETRY_SCHEMA, get_tracer
@@ -166,7 +166,6 @@ class TriangleServer:
         workers: int = 2,
         admission: AdmissionPolicy | None = None,
         retry_policy: RetryPolicy | None = None,
-        supervision: SupervisionPolicy | None = None,
         default_deadline_s: float | None = 60.0,
         default_blocks: int | None = DEFAULT_MAX_BLOCKS,
         validate: bool = False,
@@ -221,7 +220,6 @@ class TriangleServer:
         self.scheduler = JobScheduler(
             workers=workers,
             policy=retry_policy or RetryPolicy(cell_timeout_s=None),
-            supervision=supervision,
             validate=validate,
             on_event=self._on_scheduler_event,
         )

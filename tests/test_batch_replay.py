@@ -1,11 +1,11 @@
-"""Batched fused replay: parity with per-launch replay and the event engine.
+"""Fused replay: parity with per-block reduction and the event engine.
 
-``replay_launch_batch`` reduces many launch traces in single fused array
-passes.  The contract is bit-identity: batching is purely an execution
-strategy, so every batched :class:`ProfileMetrics` must equal a lone
-``replay_launch`` of the same trace, which in turn is parity-tested
-against the event engine.  The batch may freely mix kernels, launch
-configurations, and matrix cells.
+``replay_launch`` reduces the unique blocks of a launch in single fused
+array passes.  The contract is bit-identity: fusing blocks is purely an
+execution strategy, so every replayed :class:`ProfileMetrics` must equal
+the replay of a copy whose blocks were reduced one at a time, and the
+event engine's metrics.  The launches mix kernels, launch configurations,
+and matrix cells.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ import pytest
 
 from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel
 from repro.gpu.device import SIM_RTX_4090, SIM_V100, get_device
-from repro.gpu.engine import event_oracle, record_launch, replay_launch, replay_launch_batch
+from repro.gpu import engine
+from repro.gpu.engine import event_oracle, record_launch, replay_launch
 from repro.gpu.intrinsics import atomic_add_global, ld_global, st_global, syncthreads
 from repro.gpu.trace import _trace_from_arrays, _trace_to_arrays, get_trace_cache
 from repro.verify.fixtures import GOLDEN_DEVICES
@@ -44,6 +45,16 @@ def _fresh_copy(trace):
     assert restored is not None
     assert not restored._totals
     return restored
+
+
+def _per_block(trace, device):
+    """A fresh copy of ``trace`` whose unique blocks were reduced one at a
+    time, so its replay reuses those memos instead of fusing."""
+    copy = _fresh_copy(trace)
+    l1_cap, _ = engine._device_caps(device)
+    for block in copy.unique:
+        engine._l1_walk(block, l1_cap)
+    return copy
 
 
 # --- hand kernels with deliberately mixed shapes --------------------------
@@ -105,26 +116,24 @@ def _record_mixed(seed):
 
 
 @pytest.mark.parametrize("device", [SIM_V100, SIM_RTX_4090])
-def test_batch_equals_per_launch_mixed_configs(device):
-    """Batched replay of a mixed window == one replay_launch per trace."""
+def test_fused_equals_per_block_mixed_configs(device):
+    """Fused replay of each launch of a mixed window == its replay with
+    every block reduced alone."""
     for seed in range(5):
         traces = _record_mixed(seed)
-        solo = [replay_launch(_fresh_copy(t), device).as_dict() for t in traces]
-        batch = [
-            m.as_dict()
-            for m in replay_launch_batch([_fresh_copy(t) for t in traces], device)
-        ]
-        assert batch == solo
+        solo = [replay_launch(_per_block(t, device), device).as_dict() for t in traces]
+        fused = [replay_launch(_fresh_copy(t), device).as_dict() for t in traces]
+        assert fused == solo
 
 
-def test_batch_equals_event_engine():
-    """Batch-replayed metrics match the event engine's, kernel by kernel."""
+def test_replay_equals_event_engine():
+    """Replayed metrics match the event engine's, kernel by kernel."""
     traces = _record_mixed(99)
-    batched = replay_launch_batch([_fresh_copy(t) for t in traces], SIM_V100)
+    replayed = [replay_launch(_fresh_copy(t), SIM_V100) for t in traces]
     # Re-run the same launches (same rng stream) under the event engine.
     rng = np.random.default_rng(99)
     for kernel, got in zip(
-        (_sum_kernel, _strided_kernel, _divergent_kernel), batched
+        (_sum_kernel, _strided_kernel, _divergent_kernel), replayed
     ):
         n = int(rng.integers(5, 200))
         block_dim = int(rng.choice([32, 64, 128]))
@@ -156,36 +165,33 @@ def test_batch_equals_event_engine():
         assert got_d == want
 
 
-def test_batch_equals_per_launch_on_golden_matrix():
-    """All traces of a full golden-matrix run: batched == per-launch.
+def test_fused_equals_per_block_on_golden_matrix():
+    """All traces of a full golden-matrix run: fused == per-block.
 
-    The production run memoises replay results on each trace; the batch
-    and solo replays below run on memo-stripped copies, so both recompute
-    from raw trace rows and must still agree with the production metrics'
-    source traces.
+    The production run memoises replay results on each trace; the fused
+    and per-block replays below run on memo-stripped copies, so both
+    recompute from raw trace rows and must still agree with the production
+    metrics' source traces.
     """
     device_name = GOLDEN_DEVICES[0]
     device = get_device(device_name)
     record_device(device_name)
     traces = list(get_trace_cache()._entries.values())
     assert len(traces) > 20  # the matrix produced a real trace population
-    solo = [replay_launch(_fresh_copy(t), device).as_dict() for t in traces]
-    batch = [
-        m.as_dict()
-        for m in replay_launch_batch([_fresh_copy(t) for t in traces], device)
-    ]
-    assert batch == solo
-    # Batching memoised traces (the warm path) reproduces the same result.
-    warm = [m.as_dict() for m in replay_launch_batch(traces, device)]
+    solo = [replay_launch(_per_block(t, device), device).as_dict() for t in traces]
+    fused = [replay_launch(_fresh_copy(t), device).as_dict() for t in traces]
+    assert fused == solo
+    # Replaying the memoised traces (the warm path) reproduces the same result.
+    warm = [replay_launch(t, device).as_dict() for t in traces]
     assert warm == solo
 
 
-def test_batch_replay_memoises_totals():
-    """A second batched replay serves from the per-trace totals memo."""
+def test_replay_memoises_totals():
+    """A second replay serves from the per-trace totals memo."""
     traces = [_fresh_copy(t) for t in _record_mixed(7)]
-    first = [m.as_dict() for m in replay_launch_batch(traces, SIM_V100)]
+    first = [replay_launch(t, SIM_V100).as_dict() for t in traces]
     assert all(t._totals for t in traces)
-    second = [m.as_dict() for m in replay_launch_batch(traces, SIM_V100)]
+    second = [replay_launch(t, SIM_V100).as_dict() for t in traces]
     assert second == first
 
 

@@ -22,6 +22,7 @@ from repro.algorithms.bisson import Bisson, _bisson_thread
 from repro.algorithms.bisson_emit import BCLR, BGET, BSET, GLOBAL_SITES, SHARED_SITES
 from repro.gpu import engine
 from repro.gpu.device import SIM_V100, get_device
+from repro.gpu.kernel import KernelConfigError
 from repro.gpu.trace import OP_GLOBAL_ATOMIC, OP_SHARED_ATOMIC, OP_SYNC_EVENT
 from repro.graph import CSRGraph, oriented_csr
 from repro.graph.datasets import load_oriented
@@ -131,13 +132,23 @@ def test_sub_groups_that_share_a_pool_slot(mode, max_blocks):
     check(paper_scale(fixture_csr("rmat-128")), TINY_POOL, max_blocks, mode=mode)
 
 
-@pytest.mark.parametrize("block_dim", [100, 48, 32])
-@pytest.mark.parametrize("mode", ["warp", "block"])
+@pytest.mark.parametrize(
+    "mode, block_dim", [("block", 100), ("block", 48), ("block", 32), ("warp", 32)],
+)
 def test_odd_block_dims(block_dim, mode):
-    """In warp mode a 100-lane block's last four lanes are a partial
-    sub-group for the vertex the next block's first warp takes."""
+    """Block mode gives one vertex every lane of a block of any size."""
     check(fixture_csr("powerlaw-120"), SIM_V100, None, mode=mode, block_dim=block_dim)
     check(paper_scale(fixture_csr("rmat-128")), TINY_POOL, None, mode=mode, block_dim=block_dim)
+
+
+@pytest.mark.parametrize("block_dim", [100, 48])
+@pytest.mark.parametrize("mode", ["warp", "thread"])
+def test_partial_warp_block_dims_rejected(mode, block_dim):
+    """A warp per vertex needs whole warps: a 100-lane block's last four
+    lanes would be a partial warp for the vertex the next block's first
+    warp takes, and count its triangles twice."""
+    with pytest.raises(KernelConfigError, match="whole 32-lane warps"):
+        Bisson(mode=mode, block_dim=block_dim).profile(fixture_csr("powerlaw-120"), device=SIM_V100)
 
 
 @pytest.mark.parametrize("mode", ["warp", "block"])
@@ -161,16 +172,23 @@ def small_graphs(draw):
     return oriented_csr(clean_edges(edges))
 
 
+#: warp mode takes whole warps only; block mode any block size
+LAUNCH_SHAPES = st.one_of(
+    st.tuples(st.just("warp"), st.sampled_from([32, 64, 96])),
+    st.tuples(st.just("block"), st.sampled_from([32, 64, 96, 100])),
+)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     csr=small_graphs(),
-    mode=st.sampled_from(["warp", "block"]),
-    block_dim=st.sampled_from([32, 64, 96, 100]),
+    shape=LAUNCH_SHAPES,
     max_blocks=st.sampled_from([None, 1, 2]),
     tiny_pool=st.booleans(),
     paper=st.booleans(),
 )
-def test_random_graphs(csr, mode, block_dim, max_blocks, tiny_pool, paper):
+def test_random_graphs(csr, shape, max_blocks, tiny_pool, paper):
+    mode, block_dim = shape
     check(
         paper_scale(csr) if paper else csr, TINY_POOL if tiny_pool else SIM_V100, max_blocks,
         mode=mode, block_dim=block_dim,

@@ -15,9 +15,9 @@ import threading
 
 import pytest
 
-from repro.framework.resilience import RetryPolicy
+from repro.framework.resilience import RetryPolicy, WorkerDied
 from repro.framework.runner import RunRecord
-from repro.framework.scheduler import CellJob, JobScheduler, SupervisionPolicy
+from repro.framework.scheduler import CellJob, JobScheduler
 from repro.obs.flightrec import (
     DEFAULT_RING_CAPACITY,
     FLIGHTREC_SCHEMA,
@@ -151,19 +151,15 @@ class TestWorkerDeathDump:
         flight-recorder dump per death, before circuit-break."""
 
         def death(algorithm, dataset, **kwargs):
-            return RunRecord(algorithm=algorithm, dataset=dataset,
-                             device="sim", status="failed",
-                             error="worker process died (exit 17)")
+            raise WorkerDied("worker process died with exit code 17")
 
-        monkeypatch.setattr(
-            "repro.framework.scheduler.run_cell_resilient", death)
+        monkeypatch.setattr("repro.framework.scheduler._attempt_cell", death)
         install_flight_recorder("t", directory=tmp_path, excepthook=False)
         try:
             sched = JobScheduler(
                 workers=1,
-                supervision=SupervisionPolicy(max_worker_deaths=2,
-                                              backoff_base_s=0.01),
-                policy=RetryPolicy(jitter=0.0),
+                policy=RetryPolicy(jitter=0.0, max_worker_deaths=2,
+                                   backoff_base_s=0.01),
             )
             try:
                 record = sched.submit(CellJob("Polak", "As-Caida")).result(

@@ -23,7 +23,6 @@ from repro.framework import (
     RunJournal,
     RunRecord,
     parse_chaos,
-    run_cell_resilient,
     run_matrix,
     validate_record,
 )
@@ -41,6 +40,7 @@ from repro.framework.resilience import (
     record_from_dict,
     record_to_dict,
 )
+from repro.framework.scheduler import CellJob, JobScheduler
 from repro.graph import io as gio
 from repro.graph.datasets import load_edges, load_oriented, load_undirected
 from repro.serve import JobJournal
@@ -273,6 +273,17 @@ class TestValidation:
         assert validate_record(rec, max_edges=0) is rec
 
 
+def run_supervised(policy=None, *, blocks):
+    """Polak on ``DS`` as one job of a one-worker scheduler."""
+    sched = JobScheduler(
+        workers=1, policy=policy, max_blocks_simulated=blocks, validate=False,
+    )
+    try:
+        return sched.submit(CellJob("Polak", DS)).result(timeout=120.0)
+    finally:
+        sched.shutdown(wait=False)
+
+
 class TestDegradingRetries:
     def test_timeout_degrades_then_succeeds(self, monkeypatch):
         """The acceptance path: over-budget cell is killed, retried at a
@@ -282,9 +293,7 @@ class TestDegradingRetries:
         policy = RetryPolicy(
             cell_timeout_s=2.0, max_attempts=3, backoff_base_s=0.01, degrade_factor=0.25
         )
-        rec = run_cell_resilient(
-            "Polak", DS, policy=policy, max_blocks_simulated=16, validate=False
-        )
+        rec = run_supervised(policy, blocks=16)
         assert rec.status == "degraded"
         assert rec.usable and not rec.ok
         deg = rec.extra["degradation"]
@@ -297,26 +306,22 @@ class TestDegradingRetries:
         monkeypatch.setenv(CHAOS_ENV, f"hang:Polak/{DS}")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
         policy = RetryPolicy(cell_timeout_s=0.4, max_attempts=2, backoff_base_s=0.01)
-        rec = run_cell_resilient(
-            "Polak", DS, policy=policy, max_blocks_simulated=4, validate=False
-        )
+        rec = run_supervised(policy, blocks=4)
         assert rec.status == "failed"
         assert "timed out on all 2 attempts" in rec.error
         assert rec.extra["timeouts"] == 2
 
     def test_no_timeout_is_plain_ok(self):
-        rec = run_cell_resilient(
-            "Polak", DS, policy=RetryPolicy(cell_timeout_s=60.0),
-            max_blocks_simulated=4, validate=False,
-        )
+        rec = run_supervised(RetryPolicy(cell_timeout_s=60.0), blocks=4)
         assert rec.status == "ok"
         assert "degradation" not in rec.extra
 
     def test_worker_death_is_failed_record(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, f"exit:Polak/{DS}")
-        rec = run_cell_resilient("Polak", DS, max_blocks_simulated=4, validate=False)
+        rec = run_supervised(RetryPolicy(max_worker_deaths=1), blocks=4)
         assert rec.status == "failed"
         assert "exit code" in rec.error
+        assert rec.extra["circuit_open"] is True
 
     def test_policy_degradation_schedule(self):
         policy = RetryPolicy(cell_timeout_s=1.0, degrade_factor=0.5, min_blocks=2)

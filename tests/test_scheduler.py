@@ -1,25 +1,28 @@
 """Unit tests for the JobScheduler (the queueing half of the split).
 
-The executor underneath is stubbed out so these tests pin pure queueing
-semantics — priorities, deadlines, cancellation, shedding, supervision —
-without forking subprocesses.  The real executor path is covered by
-test_resilience (run_cells_resilient drives the same scheduler) and the
-serve end-to-end tests.
+The attempt function underneath is stubbed out so these tests pin pure
+queueing and supervision semantics — priorities, deadlines, cancellation,
+shedding, timeouts and worker deaths in the one supervision loop —
+without forking subprocesses.  The real attempt path is covered by
+test_resilience (run_cells_resilient and its degrading-retry cases drive
+the same scheduler) and the serve end-to-end tests.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.framework.resilience import RetryPolicy
+from repro.framework.resilience import CellTimeout, RetryPolicy, WorkerDied
 from repro.framework.runner import DEFAULT_MAX_BLOCKS, RunRecord
+from repro.gpu.device import SIM_V100
+from repro.framework import scheduler
 from repro.framework.scheduler import (
     CellJob,
     JobScheduler,
-    SupervisionPolicy,
     new_job_id,
     shed_blocks,
 )
@@ -30,18 +33,18 @@ def _ok_record(algorithm="A", dataset="D", **extra) -> RunRecord:
                      status="ok", triangles=1, **extra)
 
 
-def _death_record(algorithm="A", dataset="D") -> RunRecord:
-    return RunRecord(algorithm=algorithm, dataset=dataset, device="sim",
-                     status="failed", error="worker process died (exit 17)")
+def _death() -> WorkerDied:
+    return WorkerDied("worker process died with exit code 17")
 
 
 @pytest.fixture
 def stub_executor(monkeypatch):
-    """Replace the forked-subprocess executor with an in-thread stub.
+    """Replace the forked-subprocess attempt with an in-thread stub.
 
-    Returns a controller with ``calls`` (kwargs of each invocation),
-    ``gate`` (first call blocks until released), and a pluggable
-    ``behavior(algorithm, dataset, call_index) -> RunRecord``.
+    Returns a controller with ``calls`` (kwargs of each attempt), ``gate``
+    (first call blocks until released), and a pluggable
+    ``behavior(algorithm, dataset, call_index)`` that returns a
+    :class:`RunRecord` or an exception for the attempt to raise.
     """
 
     class Stub:
@@ -57,11 +60,24 @@ def stub_executor(monkeypatch):
                 i = len(self.calls)
                 self.calls.append({"algorithm": algorithm, "dataset": dataset, **kwargs})
             self.gate.wait(timeout=10.0)
-            return self.behavior(algorithm, dataset, i)
+            outcome = self.behavior(algorithm, dataset, i)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
 
     stub = Stub()
-    monkeypatch.setattr("repro.framework.scheduler.run_cell_resilient", stub)
+    monkeypatch.setattr("repro.framework.scheduler._attempt_cell", stub)
     return stub
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The scheduler's backoff sleeps, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(
+        scheduler, "time", SimpleNamespace(monotonic=time.monotonic, sleep=slept.append),
+    )
+    return slept
 
 
 class TestShedBlocks:
@@ -83,20 +99,37 @@ class TestShedBlocks:
 
 
 class TestSupervisionPolicy:
-    def test_backoff_grows_and_stays_bounded(self):
-        p = SupervisionPolicy(backoff_base_s=0.1, backoff_factor=2.0, jitter=0.25)
-        b1, b2 = p.restart_backoff_s(1, "k"), p.restart_backoff_s(2, "k")
+    """Worker deaths draw on RetryPolicy's ``max_worker_deaths`` and sleep
+    its jittered ``backoff_s(deaths - 1, key)`` before each restart."""
+
+    def test_backoff_grows_and_stays_bounded(self, stub_executor, sleeps):
+        stub_executor.behavior = lambda a, d, i: _death() if i < 2 else _ok_record(a, d)
+        policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0, jitter=0.25)
+        sched = JobScheduler(workers=1, policy=policy)
+        try:
+            assert sched.submit(CellJob("A", "D")).result(timeout=5.0).status == "ok"
+        finally:
+            sched.shutdown(wait=False)
+        b1, b2 = sleeps
         assert 0.075 <= b1 <= 0.125
         assert 0.15 <= b2 <= 0.25
+        assert [b1, b2] == [policy.backoff_s(0, "A/D"), policy.backoff_s(1, "A/D")]
 
-    def test_backoff_deterministic_per_key(self):
-        p = SupervisionPolicy(jitter=0.25, jitter_seed=3)
-        assert p.restart_backoff_s(1, "x") == p.restart_backoff_s(1, "x")
-        assert p.restart_backoff_s(1, "x") != p.restart_backoff_s(1, "y")
+    def test_backoff_deterministic_per_key(self, stub_executor, sleeps):
+        stub_executor.behavior = lambda a, d, i: _death() if i % 2 == 0 else _ok_record(a, d)
+        sched = JobScheduler(workers=1, policy=RetryPolicy(jitter=0.25, jitter_seed=3))
+        try:
+            for algorithm in ("x", "x", "y"):
+                sched.submit(CellJob(algorithm, "D")).result(timeout=5.0)
+        finally:
+            sched.shutdown(wait=False)
+        x1, x2, y = sleeps
+        assert x1 == x2
+        assert x1 != y
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SupervisionPolicy(max_worker_deaths=0)
+            RetryPolicy(max_worker_deaths=0)
 
 
 class TestScheduling:
@@ -157,8 +190,8 @@ class TestScheduling:
         finally:
             sched.shutdown(wait=False)
         (call,) = stub_executor.calls
-        assert call["policy"].cell_timeout_s is not None
-        assert call["policy"].cell_timeout_s <= 5.0
+        assert call["timeout_s"] is not None
+        assert call["timeout_s"] <= 5.0
 
     def test_deadline_tightens_existing_timeout(self, stub_executor):
         sched = JobScheduler(workers=1, policy=RetryPolicy(cell_timeout_s=120.0))
@@ -167,7 +200,7 @@ class TestScheduling:
             sched.submit(job).result(timeout=5.0)
         finally:
             sched.shutdown(wait=False)
-        assert stub_executor.calls[0]["policy"].cell_timeout_s <= 2.0
+        assert stub_executor.calls[0]["timeout_s"] <= 2.0
 
     def test_cancel_queued_job(self, stub_executor):
         stub_executor.gate.clear()
@@ -207,7 +240,7 @@ class TestScheduling:
             record = sched.submit(CellJob("A", "D", shed_level=2)).result(timeout=5.0)
         finally:
             sched.shutdown(wait=False)
-        assert stub_executor.calls[0]["max_blocks_simulated"] == 4
+        assert stub_executor.calls[0]["blocks"] == 4
         assert record.extra["shed_level"] == 2
         assert record.extra["shed_blocks"] == 4
 
@@ -220,7 +253,7 @@ class TestScheduling:
         finally:
             sched.shutdown(wait=False)
         (call,) = stub_executor.calls
-        assert call["max_blocks_simulated"] == 2
+        assert call["blocks"] == 2
         assert "engine" not in call
 
     def test_submit_after_shutdown_raises(self, stub_executor):
@@ -247,12 +280,12 @@ class TestScheduling:
 class TestSupervision:
     def test_worker_death_restarts_then_succeeds(self, stub_executor):
         stub_executor.behavior = (
-            lambda a, d, i: _death_record(a, d) if i < 2 else _ok_record(a, d)
+            lambda a, d, i: _death() if i < 2 else _ok_record(a, d)
         )
         events = []
         sched = JobScheduler(
             workers=1,
-            supervision=SupervisionPolicy(max_worker_deaths=5, backoff_base_s=0.001),
+            policy=RetryPolicy(max_worker_deaths=5, backoff_base_s=0.001),
             on_event=lambda name, job, payload: events.append(name),
         )
         try:
@@ -264,11 +297,11 @@ class TestSupervision:
         assert events.count("job_worker_restart") == 2
 
     def test_circuit_breaks_after_max_deaths(self, stub_executor):
-        stub_executor.behavior = lambda a, d, i: _death_record(a, d)
+        stub_executor.behavior = lambda a, d, i: _death()
         events = []
         sched = JobScheduler(
             workers=1,
-            supervision=SupervisionPolicy(max_worker_deaths=2, backoff_base_s=0.001),
+            policy=RetryPolicy(max_worker_deaths=2, backoff_base_s=0.001),
             on_event=lambda name, job, payload: events.append(name),
         )
         try:
@@ -294,6 +327,92 @@ class TestSupervision:
             sched.shutdown(wait=False)
         assert record.status == "failed"
         assert len(stub_executor.calls) == 1  # no restart for a reported error
+
+
+class TestOneLoop:
+    """Timeouts and worker deaths meet in one loop under one RetryPolicy."""
+
+    def test_timeout_then_death_then_ok_is_degraded(self, stub_executor, sleeps):
+        outcomes = [CellTimeout("cell (A, D) exceeded 1s"), _death()]
+        stub_executor.behavior = (
+            lambda a, d, i: outcomes[i] if i < len(outcomes) else _ok_record(a, d)
+        )
+        events = []
+        sched = JobScheduler(
+            workers=1, max_blocks_simulated=16, policy=RetryPolicy(cell_timeout_s=1.0),
+            on_event=lambda name, job, payload: events.append(name),
+        )
+        try:
+            record = sched.submit(CellJob("A", "D")).result(timeout=5.0)
+        finally:
+            sched.shutdown(wait=False)
+        assert record.status == "degraded"
+        assert record.extra["degradation"] == {
+            "initial_blocks": 16, "final_blocks": 8, "attempts": 3, "timeouts": 1,
+            "cell_timeout_s": 1.0,
+        }
+        assert events.count("job_worker_restart") == 1
+        # the death retries at the budget the timeout degraded to
+        assert [c["blocks"] for c in stub_executor.calls] == [16, 8, 8]
+        assert len(sleeps) == 2
+
+    def test_timeouts_and_deaths_keep_separate_budgets(self, stub_executor, sleeps):
+        outcomes = [CellTimeout("t1"), _death(), CellTimeout("t2"), _death()]
+        stub_executor.behavior = lambda a, d, i: outcomes[i]
+        policy = RetryPolicy(cell_timeout_s=1.0, max_attempts=2, max_worker_deaths=2)
+        sched = JobScheduler(workers=1, max_blocks_simulated=16, policy=policy)
+        try:
+            record = sched.submit(CellJob("A", "As-Caida")).result(timeout=5.0)
+        finally:
+            sched.shutdown(wait=False)
+        assert record.status == "failed"
+        assert record.error == "timed out on all 2 attempts: t2"
+        assert record.extra == {
+            "attempts": 3, "timeouts": 2, "final_blocks": 8, "cell_timeout_s": 1.0,
+        }
+        assert record.device == SIM_V100.name
+        assert record.size_class == "small"
+        assert len(stub_executor.calls) == 3
+
+    def test_death_budget_survives_timeouts(self, stub_executor, sleeps):
+        outcomes = [_death(), CellTimeout("t1"), _death()]
+        stub_executor.behavior = lambda a, d, i: outcomes[i]
+        policy = RetryPolicy(cell_timeout_s=1.0, max_worker_deaths=2)
+        sched = JobScheduler(workers=1, policy=policy)
+        try:
+            record = sched.submit(CellJob("A", "D")).result(timeout=5.0)
+        finally:
+            sched.shutdown(wait=False)
+        assert record.error == (
+            "circuit open after 2 worker deaths: "
+            "RuntimeError: worker process died with exit code 17"
+        )
+        assert record.extra == {"circuit_open": True, "worker_deaths": 2}
+
+    def test_deadline_kills_the_second_attempt(self, stub_executor):
+        """The second attempt gets what is left of the deadline, not a
+        fresh ``cell_timeout_s``: each stub attempt runs to its timeout."""
+
+        def run_to_timeout(a, d, i):
+            time.sleep(stub_executor.calls[i]["timeout_s"])
+            return CellTimeout(f"attempt {i}")
+
+        stub_executor.behavior = run_to_timeout
+        policy = RetryPolicy(cell_timeout_s=0.3, backoff_base_s=0.001, jitter=0.0)
+        sched = JobScheduler(workers=1, policy=policy)
+        try:
+            t0 = time.monotonic()
+            job = CellJob("A", "D", deadline=t0 + 0.5)
+            record = sched.submit(job).result(timeout=5.0)
+            elapsed = time.monotonic() - t0
+        finally:
+            sched.shutdown(wait=False)
+        first, second = (c["timeout_s"] for c in stub_executor.calls)
+        assert first == pytest.approx(0.3, abs=0.05)
+        assert second < 0.21
+        assert record.status == "failed"
+        assert record.error == "DeadlineExpired: deadline passed before attempt"
+        assert elapsed < 0.5 + 0.15
 
 
 def test_new_job_id_unique():

@@ -27,7 +27,6 @@ from repro.framework.resilience import (
     RetryPolicy,
     set_chaos_kill_budget,
 )
-from repro.framework.scheduler import SupervisionPolicy
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.tracer import TELEMETRY_SCHEMA
 from repro.serve import (
@@ -404,7 +403,9 @@ class TestChaos:
         monkeypatch.setenv(KILL_MIDJOB_DELAY_ENV, "0.01")
         server = server_factory(
             workers=1,
-            supervision=SupervisionPolicy(max_worker_deaths=2, backoff_base_s=0.01),
+            retry_policy=RetryPolicy(
+                cell_timeout_s=60.0, jitter=0.0, max_worker_deaths=2, backoff_base_s=0.01,
+            ),
         )
         with ServeClient(port=server.port) as client:
             receipt = client.submit(ALG, DS, blocks=2, stream=False)
@@ -423,7 +424,9 @@ class TestChaos:
         set_chaos_kill_budget(1)  # one death, then workers survive
         server = server_factory(
             workers=1,
-            supervision=SupervisionPolicy(max_worker_deaths=3, backoff_base_s=0.01),
+            retry_policy=RetryPolicy(
+                cell_timeout_s=60.0, jitter=0.0, max_worker_deaths=3, backoff_base_s=0.01,
+            ),
         )
         with ServeClient(port=server.port) as client:
             receipt = client.submit(ALG, DS, blocks=2, stream=False)

@@ -234,11 +234,11 @@ def test_lower_bound_and_ratios(fixture):
 
 
 def test_metric_invariant_under_engine_and_batching(tmp_path, monkeypatch):
-    """The metric is a pure graph function: engines and replay batching
-    (which only change *how* counters are reduced) cannot move it."""
+    """The metric is a pure graph function: engines and replay (which only
+    change *how* counters are reduced) cannot move it."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     from repro.gpu.device import get_device
-    from repro.gpu.engine import event_oracle, replay_launch_batch
+    from repro.gpu.engine import event_oracle, replay_launch
     from repro.gpu.trace import get_trace_cache, reset_trace_cache
     from repro.verify.fixtures import GOLDEN_DEVICES
 
@@ -248,14 +248,15 @@ def test_metric_invariant_under_engine_and_batching(tmp_path, monkeypatch):
     with event_oracle():
         assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
     assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
-    # Populate the cache and replay everything batched: still identical.
+    # Populate the cache and replay every launch: still identical.
     from repro.algorithms.base import get_algorithm
 
     device = get_device(GOLDEN_DEVICES[0])
     get_algorithm("Polak").profile(csr, device=device, max_blocks_simulated=4)
     traces = list(get_trace_cache()._entries.values())
     assert traces
-    replay_launch_batch(traces, device)
+    for trace in traces:
+        replay_launch(trace, device)
     assert {a: work_efficiency(csr, a) for a in ALGORITHMS} == baseline
     reset_trace_cache()
 
