@@ -13,9 +13,9 @@ run survivable and trustworthy end to end:
   ``run_matrix(resume=run_id)`` skips completed cells and replays only
   missing or failed ones, so a run killed mid-flight loses nothing;
 * **per-cell wall-clock timeouts with degrading retries** — each attempt
-  runs in its own killable subprocess (:func:`_attempt_cell`), and the
-  scheduler's one supervision loop retries an attempt that exceeds its
-  budget with exponential backoff at a halved ``max_blocks_simulated``,
+  runs in its scheduler slot's killable subprocess (:func:`_attempt_cell`),
+  and the scheduler's one supervision loop retries an attempt that exceeds
+  its budget with exponential backoff at a halved ``max_blocks_simulated``,
   bottoming out at a ``status="degraded"`` record that carries the reduced
   fidelity in ``extra`` instead of passing a sampled run off as a full one;
 * **validation & quarantine** — small/medium cells are cross-checked
@@ -36,12 +36,14 @@ import functools
 import json
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 import uuid
 import zlib
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,7 @@ import numpy as np
 from ..algorithms.cpu_reference import count_triangles_oriented
 from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
+from ..gpu.trace import reset_trace_cache
 from ..graph import io as gio
 from ..graph.datasets import get_spec, load_oriented, size_class, warm_cache
 from ..graph.csr import CSRGraph
@@ -82,6 +85,7 @@ __all__ = [
     "runs_root",
     "seeded_jitter",
     "set_chaos_kill_budget",
+    "SlotWorker",
     "validate_record",
     "WorkerDied",
     "DEFAULT_VALIDATE_MAX_EDGES",
@@ -750,7 +754,15 @@ def prepare_fork() -> None:
 
     ``np.unique`` imports ``numpy.ma`` on its first call (13-18 ms), and
     every launch fingerprint and facts key needs the code digest; a pool
-    worker or per-attempt child forked after this inherits both.
+    worker or slot worker forked after this inherits both.
+
+    A :class:`SlotWorker` runs one scheduler slot's attempts until a
+    timeout, a death or the slot's end: the replicas, graph facts, Bisson's
+    adjacency and ``validate``'s counts one attempt loads stay memoised
+    for the next (bounded by the replica catalogue), but its in-memory
+    trace layer is dropped before each attempt, as a fresh fork's would
+    be.  Every forked child closes the slot pipes' parent ends, so a
+    worker reads EOF when its parent dies; an idle one also polls getppid.
     """
     import numpy.ma  # noqa: F401
 
@@ -767,24 +779,44 @@ def _mp_context():
         return mp.get_context()
 
 
-def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
-                 blocks, cost_model, validate) -> None:
-    """Subprocess entry point: run one cell attempt, ship ``(record,
-    events, metrics_delta)`` back (:func:`repro.obs.tracer.run_forwarded`)."""
+#: parent ends of the live slot workers' pipes, closed in every forked
+#: child: a child holding one would keep that worker from reading EOF
+_PARENT_ENDS: set = set()
+
+
+def _close_parent_ends() -> None:
+    for end in _PARENT_ENDS:
+        end.close()
+
+
+os.register_at_fork(after_in_child=_close_parent_ends)
+
+
+def _worker_env() -> tuple:
+    """What a worker inherits at fork and its attempts read: the ``REPRO_*``
+    environment (chaos, cache dir, trace cache, log level), tracer sinks."""
+    return sorted(i for i in os.environ.items() if i[0].startswith("REPRO_")), bool(get_tracer().sinks)
+
+
+def _cell_worker(conn, parent: int) -> None:
+    """Slot worker process: run each attempt that arrives on ``conn`` and
+    send back ``(record, events, metrics_delta)``
+    (:func:`repro.obs.tracer.run_forwarded`), until the parent closes its
+    end or dies."""
+    # The parent's signal handlers (the serve daemon's shutdown) are not
+    # the worker's: SIGTERM kills it, and a terminal's Ctrl-C is the parent's.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        conn.send(run_forwarded(
-            execute_cell,
-            algorithm,
-            dataset,
-            device=device,
-            capacity_device=capacity_device,
-            ordering=ordering,
-            max_blocks_simulated=blocks,
-            cost_model=cost_model,
-            validate=validate,
-        ))
-    finally:
-        conn.close()
+        while True:
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            attempt = conn.recv()
+            reset_trace_cache()
+            conn.send(run_forwarded(execute_cell, **attempt))
+    except (EOFError, OSError):  # the parent closed its end
+        pass
 
 
 def _kill(proc) -> None:
@@ -793,6 +825,38 @@ def _kill(proc) -> None:
     if proc.is_alive():  # pragma: no cover - SIGTERM almost always suffices
         proc.kill()
         proc.join(timeout=2.0)
+
+
+class SlotWorker:
+    """One scheduler slot's attempt process (see :func:`prepare_fork`),
+    forked at the slot's first attempt and again after :meth:`stop`, after
+    it died, or when :func:`_worker_env` changed.  One thread uses it."""
+
+    def __init__(self) -> None:
+        self.proc = self.conn = self.env = None
+
+    def start(self):
+        """The live ``(conn, process)``, forking one if needed."""
+        env = _worker_env()
+        if self.proc is not None and (env != self.env or not self.proc.is_alive()):
+            self.stop()
+        if self.proc is None:
+            ctx = _mp_context()
+            self.conn, child = ctx.Pipe()
+            _PARENT_ENDS.add(self.conn)
+            self.proc = ctx.Process(target=_cell_worker, args=(child, os.getpid()), daemon=True)
+            self.proc.start()
+            child.close()
+            self.env = env
+        return self.conn, self.proc
+
+    def stop(self) -> None:
+        """Close the pipe and reap the process, killing it mid-attempt."""
+        if self.proc is not None:
+            _PARENT_ENDS.discard(self.conn)
+            self.conn.close()
+            _kill(self.proc)
+            self.proc = self.conn = self.env = None
 
 
 def _attempt_cell(
@@ -806,52 +870,39 @@ def _attempt_cell(
     cost_model: CostModel | None,
     validate: bool,
     timeout_s: float | None,
+    worker: SlotWorker,
 ) -> RunRecord:
-    """One attempt in a dedicated, killable subprocess.
+    """One attempt on ``worker``, the calling slot's killable process.
 
     Returns the worker's record, its telemetry already folded into this
-    process; a worker that dies without reporting (hard exit, segfault)
+    process.  A worker that dies without reporting (hard exit, segfault)
     raises :class:`WorkerDied`, and one that outlives ``timeout_s`` is
-    killed and raises :class:`CellTimeout`.
+    killed and raises :class:`CellTimeout`; either way the slot forks a
+    fresh worker for its next attempt.
     """
-    ctx = _mp_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_cell_worker,
-        args=(send, algorithm, dataset, device, capacity_device, ordering,
-              blocks, cost_model, validate),
-        daemon=True,
-    )
-    proc.start()
-    send.close()
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    conn, proc = worker.start()
     try:
-        while True:
-            if recv.poll(0.02):
-                try:
-                    record, events, metrics_delta = recv.recv()
-                except (EOFError, OSError):
-                    record = None
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - lingering worker
-                    _kill(proc)
-                if record is not None:
-                    absorb_forwarded(events, metrics_delta)
-                    return record
-                raise WorkerDied(f"worker pipe closed unexpectedly (exit code {proc.exitcode})")
-            if not proc.is_alive():
-                if recv.poll(0):  # result raced with process exit
-                    continue
-                proc.join()
-                raise WorkerDied(f"worker process died with exit code {proc.exitcode}")
-            if deadline is not None and time.monotonic() >= deadline:
-                _kill(proc)
-                raise CellTimeout(
-                    f"cell ({_algorithm_name(algorithm)}, {dataset}) exceeded "
-                    f"{timeout_s:.3g}s wall clock at {blocks if blocks else 'full'} blocks"
-                )
-    finally:
-        recv.close()
+        conn.send(dict(algorithm=algorithm, dataset=dataset, device=device,
+                       capacity_device=capacity_device, ordering=ordering,
+                       max_blocks_simulated=blocks, cost_model=cost_model, validate=validate))
+    except OSError:  # it died while idle: its sentinel is ready below
+        pass
+    ready = wait([conn, proc.sentinel], timeout_s)
+    if conn in ready:
+        try:
+            record, events, metrics_delta = conn.recv()
+        except (EOFError, OSError):
+            pass
+        else:
+            absorb_forwarded(events, metrics_delta)
+            return record
+    worker.stop()
+    if ready:
+        raise WorkerDied(f"worker process died with exit code {proc.exitcode}")
+    raise CellTimeout(
+        f"cell ({_algorithm_name(algorithm)}, {dataset}) exceeded "
+        f"{timeout_s:.3g}s wall clock at {blocks if blocks else 'full'} blocks"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -18,13 +18,14 @@ daemon:
   timeout (the attempt subprocess is killed when the deadline passes, not
   merely noticed late), and a job that is already past its deadline when
   popped, or before a retry, terminals immediately as ``failed`` with a
-  ``DeadlineExpired`` error instead of wasting a worker;
+  ``DeadlineExpired`` error and ``extra["deadline_expired"]`` instead of
+  wasting a worker;
 * **graceful degradation** — a job admitted at ``shed_level > 0`` runs at
   ``max_blocks >> shed_level`` (the same halving ladder the timeout
   degradation uses), trading sampled-grid precision for queue drain
   before any job has to be rejected outright;
 * **one supervision loop** — :meth:`JobScheduler._execute_supervised`
-  runs each attempt in a killable subprocess
+  runs each attempt in its worker thread's killable slot process
   (:func:`~repro.framework.resilience._attempt_cell`) and retries it under
   one :class:`~repro.framework.resilience.RetryPolicy`: a timeout
   (:class:`~repro.framework.resilience.CellTimeout`) degrades the block
@@ -59,6 +60,7 @@ from ..obs.tracer import get_tracer
 from .resilience import (
     CellTimeout,
     RetryPolicy,
+    SlotWorker,
     WorkerDied,
     _algorithm_name,
     _attempt_cell,
@@ -69,16 +71,11 @@ from .runner import DEFAULT_MAX_BLOCKS, RunRecord
 
 __all__ = [
     "CellJob",
-    "DeadlineExpired",
     "JobHandle",
     "JobScheduler",
     "new_job_id",
     "shed_blocks",
 ]
-
-
-class DeadlineExpired(Exception):
-    """A job's wall-clock deadline passed before it could complete."""
 
 
 def new_job_id() -> str:
@@ -199,9 +196,11 @@ class JobScheduler:
         self._closed = False
         self._running = 0
         self._completed = 0
+        #: one attempt process per worker thread (forked at its first attempt)
+        self._slots = [SlotWorker() for _ in range(workers)]
         self._threads = [
-            threading.Thread(target=self._loop, name=f"repro-sched-{i}", daemon=True)
-            for i in range(workers)
+            threading.Thread(target=self._loop, args=(slot,), name=f"repro-sched-{i}", daemon=True)
+            for i, slot in enumerate(self._slots)
         ]
         for t in self._threads:
             t.start()
@@ -253,7 +252,11 @@ class JobScheduler:
         return True
 
     def shutdown(self, *, wait: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting jobs; optionally drain what is already queued."""
+        """Stop accepting jobs; optionally drain what is already queued.
+
+        Each worker thread reaps its slot worker as it exits: an idle one
+        before this returns, a busy one after its attempt.
+        """
         if wait:
             self.drain(timeout=timeout)
         with self._cv:
@@ -281,13 +284,14 @@ class JobScheduler:
                 return handle
             return None
 
-    def _loop(self) -> None:
+    def _loop(self, worker: SlotWorker) -> None:
         while True:
             handle = self._pop()
             if handle is None:
+                worker.stop()
                 return
             try:
-                record = self._run_handle(handle)
+                record = self._run_handle(handle, worker)
             except Exception as exc:  # pragma: no cover - defensive
                 record = _failed_record(
                     handle.job.algorithm, handle.job.dataset,
@@ -295,7 +299,7 @@ class JobScheduler:
                 )
             self._finish(handle, record)
 
-    def _run_handle(self, handle: JobHandle) -> RunRecord:
+    def _run_handle(self, handle: JobHandle, worker: SlotWorker) -> RunRecord:
         job = handle.job
         with handle._lock:
             if handle._cancelled:
@@ -305,7 +309,7 @@ class JobScheduler:
             handle.started_at = time.monotonic()
         if job.deadline is not None and time.monotonic() >= job.deadline:
             return self._terminal_failed(
-                job, "DeadlineExpired: deadline passed while queued",
+                job, "DeadlineExpired: deadline passed while queued", deadline_expired=True,
             )
         self._emit("job_started", job, {
             "queue_wait_s": round(handle.started_at - handle.submitted_at, 6),
@@ -315,7 +319,7 @@ class JobScheduler:
         registry.inc("sched_jobs_started")
         registry.observe("sched_queue_wait_s", handle.started_at - handle.submitted_at)
         registry.gauge("sched_queue_depth", self.queue_depth())
-        return self._execute_supervised(handle)
+        return self._execute_supervised(handle, worker)
 
     def _terminal_failed(self, job: CellJob, error: str, **extra) -> RunRecord:
         return RunRecord(
@@ -328,12 +332,13 @@ class JobScheduler:
             extra=extra,
         )
 
-    def _execute_supervised(self, handle: JobHandle) -> RunRecord:
+    def _execute_supervised(self, handle: JobHandle, worker: SlotWorker) -> RunRecord:
         """Run one job to a terminal record; the only loop that retries an
         attempt.
 
         Each attempt is one :func:`~repro.framework.resilience._attempt_cell`
-        under ``cell_timeout_s`` clamped to the job's remaining deadline,
+        on this slot's ``worker`` process under ``cell_timeout_s`` clamped
+        to the job's remaining deadline,
         and its outcome decides the next step: a record is terminal
         (``degraded`` when a timeout cut its block budget); a
         :class:`CellTimeout` halves the budget and backs off until
@@ -363,6 +368,7 @@ class JobScheduler:
                 if remaining <= 0:
                     return self._terminal_failed(
                         job, "DeadlineExpired: deadline passed before attempt",
+                        deadline_expired=True,
                     )
                 timeout_s = remaining if timeout_s is None else min(timeout_s, remaining)
             try:
@@ -376,6 +382,7 @@ class JobScheduler:
                     cost_model=self.defaults["cost_model"],
                     validate=over.get("validate", self.defaults["validate"]),
                     timeout_s=timeout_s,
+                    worker=worker,
                 )
                 break
             except CellTimeout as exc:

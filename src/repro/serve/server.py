@@ -350,6 +350,7 @@ class TriangleServer:
             dataset=str(request.get("dataset", "?")),
             device="", status="failed",
             error="DeadlineExpired: deadline passed before restart replay",
+            extra={"deadline_expired": True},
         )
 
     # -- accept loop & connection handling ---------------------------------
@@ -638,7 +639,6 @@ class TriangleServer:
         # Journal BEFORE delivering: the result a client sees must already
         # be durable, or a crash between the two loses it.
         self.journal.terminal(job_id, record.status, rec_dict)
-        expired = "DeadlineExpired" in (record.error or "")
         with self._lock:
             state = self._jobs.get(job_id)
             if state is not None:
@@ -661,7 +661,7 @@ class TriangleServer:
         self.metrics.inc("serve_jobs_terminal")
         if duration is not None:
             self.metrics.observe("serve_job_latency_s", duration)
-        if expired:
+        if record.extra.get("deadline_expired"):
             self.metrics.inc("serve_deadline_expired")
         if duration is not None and record.status in ("ok", "degraded"):
             self.admission.observe_completion(duration)
@@ -721,7 +721,7 @@ class TriangleServer:
         return entry
 
     def _terminal_frame(self, job_id: str, status: str, rec_dict: dict, *, tag: str = "") -> dict:
-        if "DeadlineExpired" in (rec_dict.get("error") or ""):
+        if rec_dict.get("extra", {}).get("deadline_expired"):
             return proto.error_frame(
                 "deadline_expired", rec_dict.get("error") or "deadline expired",
                 job=job_id, record=rec_dict, tag=tag,

@@ -1,6 +1,5 @@
 """All nine implementations: metadata, counts, and structural fidelity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 from repro.algorithms import algorithm_names, all_algorithms, get_algorithm
 from repro.algorithms.base import TCAlgorithm, register
 from repro.algorithms.cpu_reference import count_triangles_oriented
-from repro.graph import clean_edges, orient_by_degree, orient_by_id, oriented_csr
-from repro.graph.generators import chung_lu, complete_graph
+from repro.graph import clean_edges, orient_by_degree, orient_by_id
+from repro.graph.generators import chung_lu
 
 ALL = algorithm_names()
 

@@ -9,9 +9,9 @@ bitmap lifecycles, prefix scans) to the real algorithms.
 import pytest
 
 from repro.algorithms import algorithm_names, get_algorithm
-from repro.gpu import SIM_V100, TESLA_V100
+from repro.gpu import SIM_V100
 from repro.graph import orient_by_degree, orient_by_id, oriented_csr
-from repro.graph.generators import bipartite, chung_lu, complete_graph, star, wheel
+from repro.graph.generators import bipartite, chung_lu, complete_graph, star
 
 ALL = algorithm_names()
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import GlobalMemory, ProfileMetrics, kernel, launch_kernel
-from repro.gpu.device import SIM_RTX_4090, SIM_V100, get_device
+from repro.gpu.device import SIM_RTX_4090, SIM_V100
 from repro.gpu.engine import event_oracle, in_event_oracle
 from repro.gpu.intrinsics import (
     alu,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 
 import pytest
 
@@ -173,6 +172,27 @@ class TestWorkerDeathDump:
         assert len(dumps) == 2  # one per death
         assert all(d["reason"] == "worker_death" for d in dumps)
         assert all("Polak/As-Caida" in d["error"] for d in dumps)
+
+    def test_slot_worker_death_produces_dump(self, tmp_path, tracer, registry,
+                                             monkeypatch):
+        """The same dumps when the scheduler's real slot worker dies."""
+        monkeypatch.setenv("REPRO_CHAOS", "exit:Polak/As-Caida")
+        install_flight_recorder("t", directory=tmp_path, excepthook=False)
+        try:
+            sched = JobScheduler(
+                workers=1, max_blocks_simulated=4,
+                policy=RetryPolicy(jitter=0.0, max_worker_deaths=2, backoff_base_s=0.01),
+            )
+            try:
+                record = sched.submit(CellJob("Polak", "As-Caida")).result(timeout=60.0)
+            finally:
+                sched.shutdown(wait=False)
+        finally:
+            uninstall_flight_recorder()
+        assert record.extra.get("circuit_open") is True
+        assert "exit code 17" in record.error
+        dumps = _load_dumps(tmp_path)
+        assert [d["reason"] for d in dumps] == ["worker_death"] * 2
         assert registry.get("sched_worker_deaths") == 2.0
         assert registry.get("sched_circuit_opens") == 1.0
 

@@ -10,7 +10,6 @@ from repro.gpu import (
     SIM_V100,
     TESLA_V100,
     DeviceOutOfMemory,
-    DeviceSpec,
     GlobalMemory,
     ProfileMetrics,
     SectorCache,

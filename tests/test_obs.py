@@ -25,7 +25,7 @@ from repro.framework.resilience import RunJournal
 from repro.gpu.engine import event_oracle
 from repro.gpu.metrics import ProfileMetrics
 from repro.gpu.trace import reset_trace_cache
-from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
+from repro.obs.attribution import LINE_FIELDS
 from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
 from repro.obs.session import profile_run
 from repro.obs.timeline import build_timeline

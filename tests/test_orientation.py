@@ -1,6 +1,5 @@
 """Orientation pre-processing (Section II-B)."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -3,8 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
 from repro.framework import run_matrix
 from repro.framework.parallel import default_jobs, parallel_starmap, run_cells
 from repro.framework.resilience import CHAOS_ENV

@@ -30,25 +30,30 @@ from repro.framework.resilience import (
     CHAOS_ENV,
     CHAOS_SEED_ENV,
     HANG_SECONDS_ENV,
+    KILL_MIDJOB_DELAY_ENV,
     SLOW_SCALE_ENV,
     ChaosInjected,
     chaos_from_env,
+    chaos_kill_budget_path,
     chaos_pre_run,
     corrupt_cached_bundle,
     execute_cell,
     new_run_id,
     record_from_dict,
     record_to_dict,
+    set_chaos_kill_budget,
 )
 from repro.framework.scheduler import CellJob, JobScheduler
 from repro.graph import io as gio
 from repro.graph.datasets import load_edges, load_oriented, load_undirected
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.tracer import BufferSink, Tracer, set_tracer
 from repro.serve import JobJournal
 
 ALGS = ("Polak", "TRUST")
 DS = "As-Caida"
 
-ALL_CHAOS_VARS = (CHAOS_ENV, CHAOS_SEED_ENV, HANG_SECONDS_ENV, SLOW_SCALE_ENV)
+ALL_CHAOS_VARS = (CHAOS_ENV, CHAOS_SEED_ENV, HANG_SECONDS_ENV, SLOW_SCALE_ENV, KILL_MIDJOB_DELAY_ENV)
 
 #: CI's chaos job matrixes REPRO_CHAOS_SEED over several values; capture it
 #: before the autouse fixture scrubs the environment so the probabilistic
@@ -441,6 +446,34 @@ class TestResume:
         )
         assert parallel.records == serial.records
 
+    #: a worker killed mid-cell (restarted within budget) and a crashing cell
+    FAULTS = f"worker_kill_midjob:TRUST/{DS};raise:Polak/P2p-Gnutella31"
+
+    def _faulted(self, monkeypatch, **kw):
+        monkeypatch.setenv(CHAOS_ENV, self.FAULTS)
+        monkeypatch.setenv(KILL_MIDJOB_DELAY_ENV, "0.01")
+        set_chaos_kill_budget(1)
+        try:
+            return run_matrix(ALGS, self.DATASETS, max_blocks_simulated=4, **kw)
+        finally:
+            monkeypatch.delenv(CHAOS_ENV)
+
+    def test_parallel_equals_serial_under_faults(self, tmp_cache, monkeypatch):
+        serial = self._faulted(monkeypatch, run_id="fs1")
+        assert serial.cell("Polak", "P2p-Gnutella31").status == "failed"
+        assert [r.status for r in serial.records].count("ok") == 3
+        assert self._faulted(monkeypatch, run_id="fp1", jobs=2).records == serial.records
+
+    def test_resume_under_faults_equals_uninterrupted(self, tmp_cache, monkeypatch):
+        uninterrupted = self._faulted(monkeypatch, run_id="fu")
+        rid = "fr"
+        self._faulted(monkeypatch, run_id=rid)
+        journal = RunJournal(rid)
+        first = journal.path.read_text().splitlines()[0]
+        journal.path.write_text(first + "\n")  # interrupted after one cell
+        resumed = self._faulted(monkeypatch, resume=rid)
+        assert resumed.records == uninterrupted.records
+
 
 class TestQuarantineMatrix:
     def test_flipped_count_never_reaches_winners(self, tmp_cache, monkeypatch):
@@ -546,3 +579,127 @@ class TestCorruptCacheRecovery:
         # A cell run after the drill in this process must read the damage.
         assert load_oriented.cache_info().currsize == 0
         assert load_edges.cache_info().currsize == 0
+
+
+class TestSlotWorker:
+    """Each scheduler thread runs its attempts in one long-lived process,
+    replaced after a timeout or a death and whenever the ``REPRO_*``
+    environment changes."""
+
+    @pytest.fixture
+    def scheduler(self):
+        load_oriented(DS)  # forked workers inherit the replica
+        made = []
+
+        def make(**policy) -> JobScheduler:
+            policy = {"jitter": 0.0, "backoff_base_s": 0.01, **policy}
+            made.append(JobScheduler(workers=1, policy=RetryPolicy(**policy)))
+            return made[-1]
+
+        yield make
+        for sched in made:
+            sched.shutdown(wait=False)
+
+    @staticmethod
+    def job(sched, algorithm="TRUST", dataset=DS, blocks=4):
+        """The job's record and the pid of the slot's worker after it."""
+        over = {} if blocks is None else {"blocks": blocks}
+        record = sched.submit(CellJob(algorithm, dataset, overrides=over)).result(timeout=120.0)
+        proc = sched._slots[0].proc
+        return record, None if proc is None else proc.pid
+
+    def test_one_worker_serves_consecutive_attempts(self, scheduler):
+        sched = scheduler()
+        outcomes = [self.job(sched, alg) for alg in ("TRUST", "Polak", "GroupTC", "TRUST")]
+        assert [r.status for r, _ in outcomes] == ["ok"] * 4
+        pids = {pid for _, pid in outcomes}
+        assert len(pids) == 1 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("fault, policy", [
+        ("hang", {"cell_timeout_s": 1.0, "max_attempts": 1}),
+        ("exit", {"max_worker_deaths": 1}),
+        ("worker_kill_midjob", {"max_worker_deaths": 1}),
+    ])
+    def test_fault_replaces_the_worker(self, scheduler, tmp_cache, monkeypatch, fault, policy):
+        monkeypatch.setenv(CHAOS_ENV, f"{fault}:Polak/{DS}")
+        monkeypatch.setenv(HANG_SECONDS_ENV, "30")
+        monkeypatch.setenv(KILL_MIDJOB_DELAY_ENV, "0.01")
+        sched = scheduler(**policy)
+        before, pid = self.job(sched)
+        faulted, gone = self.job(sched, "Polak")
+        after, new_pid = self.job(sched)
+        assert (before.status, faulted.status, after.status) == ("ok", "failed", "ok")
+        assert gone is None  # the faulted worker was reaped, not kept
+        assert new_pid != pid
+
+    def test_chaos_change_between_jobs_takes_effect(self, scheduler, monkeypatch):
+        sched = scheduler()
+        assert self.job(sched, "Polak")[0].status == "ok"
+        monkeypatch.setenv(CHAOS_ENV, f"raise:Polak/{DS}")
+        crashed, _ = self.job(sched, "Polak")
+        assert crashed.status == "failed" and "ChaosInjected" in crashed.error
+        monkeypatch.delenv(CHAOS_ENV)
+        assert self.job(sched, "Polak")[0].status == "ok"
+
+    def test_kill_budget_drill_drains(self, scheduler, tmp_cache, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV, f"worker_kill_midjob:Polak/{DS}")
+        monkeypatch.setenv(KILL_MIDJOB_DELAY_ENV, "0.01")
+        set_chaos_kill_budget(2)
+        old = set_metrics(MetricsRegistry())
+        try:
+            sched = scheduler(max_worker_deaths=3)
+            first, pid = self.job(sched, "Polak")
+            second, same = self.job(sched, "Polak")
+            deaths = get_metrics().get("sched_worker_deaths")
+        finally:
+            set_metrics(old)
+        assert first.status == second.status == "ok"
+        assert deaths == 2
+        assert chaos_kill_budget_path().read_text() == "0"
+        assert same == pid  # the drained budget kills no more workers
+
+    def test_no_sink_or_metrics_delta_leaks_between_attempts(self, scheduler):
+        sink = BufferSink(level="info")
+        old_tracer, old_registry = set_tracer(Tracer([sink])), set_metrics(MetricsRegistry())
+        try:
+            sched = scheduler()
+            launches, pids = [], set()
+            for _ in range(3):
+                record, pid = self.job(sched)
+                assert record.status == "ok"
+                launches.append(get_metrics().get("sim_launches"))
+                pids.add(pid)
+        finally:
+            set_tracer(old_tracer)
+            set_metrics(old_registry)
+        assert len(pids) == 1
+        assert launches[0] > 0
+        assert launches == [launches[0] * k for k in (1, 2, 3)]
+        cells = [e for e in sink.events if e["event"] == "span_end" and e["name"] == "cell"]
+        assert len(cells) == 3
+        assert all(e.get("forwarded") and e["pid"] in pids for e in cells)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
+    def test_worker_memory_is_flat_across_rounds(self, scheduler):
+        """The 27 matrix-small cells leave the worker about as large as its
+        first cell did, and a second round grows it by no more than a small
+        slack: the trace layer is dropped per attempt, every other memo is
+        full after the first round."""
+        from repro.algorithms import algorithm_names
+
+        cells = [(a, d) for d in (DS, "P2p-Gnutella31", "Email-EuAll") for a in algorithm_names()]
+        sched = scheduler()
+
+        def rss_kb(pid):
+            with open(f"/proc/{pid}/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+        rss = []
+        for round_cells in (cells[:1], cells[1:], cells):
+            for algorithm, dataset in round_cells:
+                record, pid = self.job(sched, algorithm, dataset, blocks=None)
+                assert record.status == "ok", record.error
+            rss.append(rss_kb(pid))
+        # kB: the trace layer alone would add about 50 MB over the 27 cells
+        assert rss[2] <= rss[1] + 8 * 1024, rss
+        assert max(rss) <= rss[0] + 16 * 1024, rss

@@ -79,6 +79,29 @@ def server_factory():
         server.shutdown(drain=False)
 
 
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid`` (read from /proc)."""
+    out = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid:
+            out.append(int(entry))
+    return out
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def _poll(predicate, timeout=60.0, interval=0.05, what="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -641,13 +664,13 @@ class TestKillDrill:
     restart with the same server id, and verify exactly-once terminal
     states by replaying the journal against client-held receipts."""
 
-    def _boot(self, tmp_cache: Path, server_id: str) -> tuple[subprocess.Popen, int]:
+    def _boot(self, tmp_cache: Path, server_id: str, workers: int = 1) -> tuple[subprocess.Popen, int]:
         env = os.environ.copy()
         env["REPRO_CACHE_DIR"] = str(tmp_cache)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--server-id", server_id, "--workers", "1",
+             "--server-id", server_id, "--workers", str(workers),
              "--default-deadline", "300"],
             stdout=subprocess.PIPE, text=True, env=env,
         )
@@ -655,6 +678,31 @@ class TestKillDrill:
         match = re.search(r"tcp:127\.0\.0\.1:(\d+)", line)
         assert match, f"no ready line from daemon: {line!r}"
         return proc, int(match.group(1))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists processes from /proc")
+    @pytest.mark.parametrize("stop", ["kill9", "shutdown"])
+    def test_no_worker_outlives_the_daemon(self, tmp_cache, stop):
+        """The slot workers the daemon forked are gone within 5 s of its
+        SIGKILL or of its clean shutdown."""
+        proc, port = self._boot(tmp_cache, f"orphans-{stop}", workers=2)
+        try:
+            with ServeClient(port=port, timeout=30.0) as client:
+                receipts = [client.submit(alg, DS, blocks=4, stream=False)
+                            for alg in ("Polak", "TRUST", "GroupTC", "Hu")]
+                assert all(r.result(timeout=120.0)["record"]["status"] == "ok" for r in receipts)
+                workers = _children(proc.pid)
+                assert workers, "the daemon forked no slot worker"
+                if stop == "shutdown":
+                    client.shutdown()
+            if stop == "kill9":
+                proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        _poll(lambda: not any(_running(pid) for pid in workers), timeout=5.0,
+              what=f"the daemon's workers {workers} to exit")
 
     def test_kill9_exactly_once_via_journal_replay(self, tmp_cache):
         server_id = "drill"

@@ -14,10 +14,8 @@ from repro.gpu import GlobalMemory, ProfileMetrics, launch_kernel
 from repro.gpu.device import SIM_RTX_4090, SIM_V100
 from repro.gpu.intrinsics import atomic_add_global, ld_global
 from repro.gpu.trace import (
-    TraceCache,
     _trace_from_arrays,
     _trace_to_arrays,
-    get_trace_cache,
     launch_fingerprint,
     reset_trace_cache,
     trace_cache_enabled,
