@@ -253,10 +253,7 @@ class JobScheduler:
 
     def shutdown(self, *, wait: bool = True, timeout: float | None = None) -> None:
         """Stop accepting jobs; optionally drain what is already queued.
-
-        Each worker thread reaps its slot worker as it exits: an idle one
-        before this returns, a busy one after its attempt.
-        """
+        Each thread stops its slot worker as it exits (a busy one after its attempt)."""
         if wait:
             self.drain(timeout=timeout)
         with self._cv:
@@ -338,12 +335,11 @@ class JobScheduler:
 
         Each attempt is one :func:`~repro.framework.resilience._attempt_cell`
         on this slot's ``worker`` process under ``cell_timeout_s`` clamped
-        to the job's remaining deadline,
-        and its outcome decides the next step: a record is terminal
-        (``degraded`` when a timeout cut its block budget); a
-        :class:`CellTimeout` halves the budget and backs off until
-        ``max_attempts`` timeouts exhaust the job; a :class:`WorkerDied`
-        restarts at the same budget and backs off until
+        to the job's remaining deadline, and its outcome decides the next
+        step: a record is terminal (``degraded`` when a timeout cut its
+        block budget); a :class:`CellTimeout` halves the budget and backs
+        off until ``max_attempts`` timeouts exhaust the job; a
+        :class:`WorkerDied` restarts at the same budget and backs off until
         ``max_worker_deaths`` deaths open the circuit.
         """
         job = handle.job

@@ -236,14 +236,17 @@ class StderrSink:
 
 
 class BufferSink:
-    """Collect events in memory (worker forwarding, tests, Chrome export)."""
+    """Collect events in memory (worker forwarding, tests, Chrome export);
+    only the owning process collects, as a forked worker's copy is never read."""
 
     def __init__(self, level: int | str = "debug"):
         self.level = _level_no(level)
         self.events: list[dict] = []
+        self._pid = os.getpid()
 
     def emit(self, event: dict) -> None:
-        self.events.append(event)
+        if _PID == self._pid:
+            self.events.append(event)
 
     def close(self) -> None:  # pragma: no cover - nothing to release
         pass

@@ -172,6 +172,8 @@ class TestWorkerDeathDump:
         assert len(dumps) == 2  # one per death
         assert all(d["reason"] == "worker_death" for d in dumps)
         assert all("Polak/As-Caida" in d["error"] for d in dumps)
+        assert registry.get("sched_worker_deaths") == 2.0
+        assert registry.get("sched_circuit_opens") == 1.0
 
     def test_slot_worker_death_produces_dump(self, tmp_path, tracer, registry,
                                              monkeypatch):

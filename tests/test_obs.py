@@ -366,6 +366,31 @@ class TestForwarding:
         absorb_forwarded([dict(event, pid=os.getpid() + 1)], None)
         assert [e["forwarded"] for e in tracer_buf.events] == [True]
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_copy_of_a_buffer_collects_nothing(self, tracer_buf):
+        """A long-lived forked worker's inherited buffer stays as it was at
+        fork; only a buffer the worker makes itself collects there."""
+        import multiprocessing as mp
+
+        from repro.obs.tracer import get_tracer
+
+        ctx = mp.get_context("fork")
+        parent_end, child_end = ctx.Pipe()
+
+        def child():
+            own = BufferSink()
+            get_tracer().add_sink(own)
+            get_tracer().info("in worker")
+            child_end.send((len(tracer_buf.events), len(own.events)))
+
+        get_tracer().info("before fork")
+        proc = ctx.Process(target=child)
+        proc.start()
+        counts = parent_end.recv()
+        proc.join(timeout=30.0)
+        assert counts == (1, 1)
+        assert [e["msg"] for e in tracer_buf.events] == ["before fork"]
+
 
 # -- profile CLI -------------------------------------------------------------
 
